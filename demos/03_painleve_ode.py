@@ -2,11 +2,14 @@
 
 zeta = t d/dt log tau satisfies the sigma-form
 (t zeta'')^2 = 4 (zeta')^2 (zeta - t zeta') - 4 zeta', and q = -t zeta'
-satisfies the most degenerate Painleve III equation.  The series routes
-differentiate their t-powers exactly; the Fredholm route differentiates
-the log-determinant with a 7-point stencil in log t.  Both must drive
-the residuals to zero, and the change of variables t = 2^{-12} r^4 turns
-q into a radial sine-Gordon field u(r) with u_rr + u_r/r + sin u = 0.
+satisfies the most degenerate Painleve III equation.  Every route
+differentiates exactly: the series routes their t-powers term by term,
+the Fredholm route the log-determinant by the trace formula
+theta log det M = tr(M^{-1} theta M).  Both must drive the residuals to
+zero (the truncated series down to its truncation error, the converged
+determinant down to rounding), and the change of variables
+t = 2^{-12} r^4 turns q into a radial sine-Gordon field u(r) with
+u_rr + u_r/r + sin u = 0.
 """
 
 from besseltau import (
@@ -23,14 +26,14 @@ params = MonodromyParams.from_nu(0.37, 0.11)
 trunc = SeriesTruncation(weight_cutoff=8, charge_cutoff=3)
 
 print("sigma-form residual |(t z'')^2 - 4 z'^2 (z - t z') + 4 z'|")
-print(f"{'t':>6} {'zeta (analytic)':>26} {'analytic series':>16} "
-      f"{'stencil (h=1e-3)':>17}")
+print(f"{'t':>6} {'zeta (Maya series)':>26} {'Maya W=8, Q=3':>16} "
+      f"{'Fredholm N=12':>17}")
 for t in (0.02, 0.05, 0.1, 0.2):
     z = zeta(t, params, "maya", trunc=trunc)
     r_series = ode_residual(t, params, "maya", trunc=trunc)
-    r_stencil = ode_residual(t, params, "fredholm", h=1e-3, n_modes=12)
+    r_fredholm = ode_residual(t, params, "fredholm", n_modes=12)
     print(f"{t:6.2f} {z.real:13.10f} {z.imag:+12.10f}j {r_series:16.3e} "
-          f"{r_stencil:17.3e}")
+          f"{r_fredholm:17.3e}")
 
 print()
 print("degenerate Painleve III residual for q = -t zeta'")

@@ -11,6 +11,7 @@ error (pole, degeneracy, non-convergence).
 """
 
 import json
+import math
 import sys
 
 import click
@@ -36,7 +37,7 @@ from .nekrasov import (
     z_dual_terms,
 )
 from .partitions import YoungDiagram, maya_from_young, partitions_of, young_from_maya
-from .tau import METHODS, ode_residual, tau, zeta
+from .tau import METHODS, _sigma_form_defect, ode_residual, tau, zeta_derivatives
 
 CSV_HEADER = (
     "t_re,t_im,tau_fred_re,tau_fred_im,tau_maya_re,tau_maya_im,"
@@ -51,7 +52,6 @@ DEFAULT_CONFIG = {
     "N_modes": 12,
     "weight_cutoff": 6,
     "charge_cutoff": 2,
-    "fd_step": 1e-3,
     "tolerance": 1e-8,
     "output": None,
     "format": "csv",
@@ -92,14 +92,28 @@ def _load_config(path):
     return cfg
 
 
+def _real_field(val, name) -> float:
+    try:
+        x = float(val)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be a number, got {val!r}") from exc
+    if not math.isfinite(x):
+        raise ConfigError(f"{name} must be finite, got {val!r}")
+    return x
+
+
+def _int_field(val, name) -> int:
+    x = _real_field(val, name)
+    if not x.is_integer():
+        raise ConfigError(f"{name} must be an integer, got {val!r}")
+    return int(x)
+
+
 def _complex_field(cfg, name) -> complex:
     val = cfg[name]
     if not (isinstance(val, (list, tuple)) and len(val) == 2):
         raise ConfigError(f"{name} must be a [re, im] pair")
-    try:
-        return complex(float(val[0]), float(val[1]))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} components must be numbers") from exc
+    return complex(_real_field(val[0], name), _real_field(val[1], name))
 
 
 def _validate(cfg):
@@ -112,11 +126,9 @@ def _validate(cfg):
         raise ConfigError(str(exc)) from exc
 
     grid = cfg["t_grid"]
-    try:
-        start, stop = float(grid["start"]), float(grid["stop"])
-        count = int(grid["count"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad t_grid: {exc}") from exc
+    start = _real_field(grid["start"], "t_grid.start")
+    stop = _real_field(grid["stop"], "t_grid.stop")
+    count = _int_field(grid["count"], "t_grid.count")
     spacing = grid.get("spacing", "linear")
     if count < 1:
         raise ConfigError(f"t_grid.count must be >= 1, got {count}")
@@ -139,18 +151,17 @@ def _validate(cfg):
     else:
         raise ConfigError(f"method must be one of {METHODS + ('all',)}, got {method!r}")
 
-    n_modes = int(cfg["N_modes"])
+    n_modes = _int_field(cfg["N_modes"], "N_modes")
     if n_modes < 1:
         raise ConfigError(f"N_modes must be >= 1, got {n_modes}")
-    w, q = int(cfg["weight_cutoff"]), int(cfg["charge_cutoff"])
+    w = _int_field(cfg["weight_cutoff"], "weight_cutoff")
+    q = _int_field(cfg["charge_cutoff"], "charge_cutoff")
     if w < 0 or q < 0:
         raise ConfigError(f"cutoffs must be >= 0, got weight {w}, charge {q}")
-    fd_step = float(cfg["fd_step"])
-    if fd_step <= 0:
-        raise ConfigError(f"fd_step must be > 0, got {fd_step}")
+    _real_field(cfg["tolerance"], "tolerance")
     if cfg["format"] not in ("csv", "json"):
         raise ConfigError(f"format must be 'csv' or 'json', got {cfg['format']!r}")
-    return params, ts, methods, SeriesTruncation(w, q), n_modes, fd_step
+    return params, ts, methods, SeriesTruncation(w, q), n_modes
 
 
 def _write(cfg, text):
@@ -218,7 +229,7 @@ def main():
 def tau_cmd(config_path):
     def run():
         cfg = _load_config(config_path)
-        params, ts, methods, trunc, n_modes, fd_step = _validate(cfg)
+        params, ts, methods, trunc, n_modes = _validate(cfg)
         records = []
         for t in ts:
             rec = dict.fromkeys(CSV_HEADER.split(","))
@@ -231,11 +242,11 @@ def tau_cmd(config_path):
                 est = max(est, tv.est_error)
             zmethod = "maya" if "maya" in methods else methods[0]
             if t > 0:
-                z = zeta(t, params, zmethod, h=fd_step, n_modes=n_modes, trunc=trunc)
-                rec["zeta_re"], rec["zeta_im"] = z.real, z.imag
-                rec["ode_residual"] = ode_residual(
-                    t, params, zmethod, h=fd_step, n_modes=n_modes, trunc=trunc
+                z, zp, zpp, _ = zeta_derivatives(
+                    t, params, zmethod, n_modes=n_modes, trunc=trunc
                 )
+                rec["zeta_re"], rec["zeta_im"] = z.real, z.imag
+                rec["ode_residual"] = _sigma_form_defect(t, z, zp, zpp)
             rec["est_error"] = est
             records.append(rec)
         _emit_records(cfg, records)
@@ -248,7 +259,7 @@ def tau_cmd(config_path):
 def series(config_path):
     def run():
         cfg = _load_config(config_path)
-        params, _, methods, trunc, _, _ = _validate(cfg)
+        params, _, methods, trunc, _ = _validate(cfg)
         use_maya = methods == ["maya"]
         terms = (
             tau_series_terms(params, trunc)
@@ -271,7 +282,7 @@ def series(config_path):
 def modes(config_path):
     def run():
         cfg = _load_config(config_path)
-        params, ts, _, _, n_modes, _ = _validate(cfg)
+        params, ts, _, _, n_modes = _validate(cfg)
         t = ts[0]
         n = min(n_modes, 8)
         a_closed = mode_matrix_a(params, n)
@@ -306,7 +317,7 @@ def modes(config_path):
 def convergence(config_path):
     def run():
         cfg = _load_config(config_path)
-        params, ts, _, trunc, n_modes, _ = _validate(cfg)
+        params, ts, _, trunc, n_modes = _validate(cfg)
         t = ts[0]
         lines = ["study,level,value_re,value_im,abs_change"]
         prev = None
@@ -332,7 +343,7 @@ def convergence(config_path):
 def check(config_path):
     def run():
         cfg = _load_config(config_path)
-        params, ts, _, trunc, n_modes, fd_step = _validate(cfg)
+        params, ts, _, trunc, n_modes = _validate(cfg)
         t = next((x for x in ts if x > 0), 0.05)
         results = []
 

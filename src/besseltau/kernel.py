@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CauchyCollisionError, DegenerateParameterError, QuadratureConvergenceError
-from .monodromy import PAULI_Y, MonodromyParams
+from .errors import CauchyCollisionError, QuadratureConvergenceError
+from .monodromy import PAULI_Y, MonodromyParams, check_off_lattice
 from .special import j_sigma, ln_gamma, pochhammer
 
 __all__ = [
@@ -42,6 +42,7 @@ __all__ = [
     "adaptive_fredholm_det",
     "rank_one_residual",
     "mode_list",
+    "mode_exponents",
 ]
 
 _IDENT = np.eye(2, dtype=complex)
@@ -52,15 +53,9 @@ _DIAGONAL_TOL = 1e-6
 _DIAGONAL_STEP = 1e-5
 
 
-def _check_sigma(sigma: complex):
-    two_sigma = 2 * complex(sigma)
-    if abs(two_sigma.imag) + abs(two_sigma.real - round(two_sigma.real)) < 1e-8:
-        raise DegenerateParameterError(f"2*sigma = {two_sigma} too close to an integer")
-
-
 def bessel_kernel_J(sigma, zp, z) -> np.ndarray:
     """The 2x2 matrix J_sigma(z', z); equals the identity at z' = z."""
-    _check_sigma(sigma)
+    check_off_lattice(sigma)
     sigma, zp, z = complex(sigma), complex(zp), complex(z)
     pref = cmath.pi / cmath.sin(2 * cmath.pi * sigma)
     jp = j_sigma(sigma + 0.5, z)
@@ -186,11 +181,20 @@ def mode_matrix_a(params: MonodromyParams, n: int, branch_sign=None) -> np.ndarr
     return a
 
 
+def mode_exponents(nu, n: int) -> np.ndarray:
+    """t-exponents E = (s - s') nu + p + q of the d-modes, in their layout.
+
+    D(t) = D(1) * t**E entrywise, so theta^k D = E**k * D for theta = t d/dt.
+    """
+    ms = mode_list(n)
+    return np.array([[(s - sp) * nu + p + q for q, s in ms] for p, sp in ms], dtype=complex)
+
+
 def mode_matrix_d(params: MonodromyParams, t, n: int, branch_sign=None) -> np.ndarray:
     """Closed-form d-modes: rows are particle modes (p, s'), columns hole modes (-q, s).
 
-    The t dependence is isolated in the factors t^{(s - s') nu + p + q};
-    the t-independent core is the a-matrix structure with nu -> -nu and
+    The t dependence is isolated in the factors t**mode_exponents; the
+    t-independent core is the a-matrix structure with nu -> -nu and
     phase exp(i pi sigma (s - s')).
     """
     branch_sign = branch_sign or {1: 1, -1: 1}
@@ -209,9 +213,8 @@ def mode_matrix_d(params: MonodromyParams, t, n: int, branch_sign=None) -> np.nd
                 * psibars[p, sp]
                 / _denominator(p, sp, q, s, nu)
                 * cmath.exp(1j * cmath.pi * s_par * (s - sp))
-                * t ** ((s - sp) * nu + p + q)
             )
-    return d
+    return d * t ** mode_exponents(nu, n)
 
 
 @dataclass(frozen=True)
@@ -225,6 +228,8 @@ class ModeMatrices:
 
     @classmethod
     def build(cls, params: MonodromyParams, t, n: int, branch_sign=None):
+        if n < 1:
+            raise ValueError(f"truncation order must be >= 1, got {n}")
         return cls(
             a=mode_matrix_a(params, n, branch_sign),
             d=mode_matrix_d(params, t, n, branch_sign),
@@ -312,17 +317,18 @@ def fredholm_det_block(modes: ModeMatrices) -> complex:
 def adaptive_fredholm_det(params: MonodromyParams, t, tol: float = 1e-12, max_n: int = 64):
     """Double N until the determinant stabilizes below tol (or N hits the cap).
 
-    Returns (value, n, est_error).
+    Returns (value, n, est_error) with est_error the last change of the
+    value; it stays above tol when the cap stopped the doubling, and is
+    inf when no doubling took place (max_n <= 4).
     """
     n = 4
-    prev = fredholm_det(ModeMatrices.build(params, t, n))
-    while n < max_n:
-        n2 = min(2 * n, max_n)
-        cur = fredholm_det(ModeMatrices.build(params, t, n2))
-        if abs(cur - prev) < tol:
-            return cur, n2, abs(cur - prev)
-        prev, n = cur, n2
-    return prev, n, abs(cur - prev) if n > 4 else 0.0
+    val = fredholm_det(ModeMatrices.build(params, t, n))
+    change = math.inf
+    while n < max_n and not change < tol:
+        n = min(2 * n, max_n)
+        prev, val = val, fredholm_det(ModeMatrices.build(params, t, n))
+        change = abs(val - prev)
+    return val, n, change
 
 
 def rank_one_residual(params: MonodromyParams, n: int, which: str = "a") -> float:
@@ -330,41 +336,28 @@ def rank_one_residual(params: MonodromyParams, n: int, which: str = "a") -> floa
 
     For every retained (p, s'), (q, s) the entry times its Cauchy
     denominator must reproduce the outer product psi x psibar with the
-    block's twist phase; 'd' checks the t-independent core, which is the
-    same identity under nu -> -nu.
+    block's twist phase.  'd' reads mode_matrix_d at t = 1, where every
+    power factor is exactly 1; its identity is that of 'a' under
+    nu -> -nu, with rows and columns trading the roles of (p, s') and
+    (q, s).
     """
+    if which not in ("a", "d"):
+        raise ValueError("which must be 'a' or 'd'")
     if n == 0:
         return 0.0
-    nu, s_par, e_par = params.nu, params.sigma, params.eta
+    if which == "a":
+        mat, nu, twist = mode_matrix_a(params, n), params.nu, 2 * params.eta - params.sigma
+    else:
+        mat, nu, twist = mode_matrix_d(params, 1.0, n), -params.nu, -params.sigma
     ms = mode_list(n)
     worst = 0.0
-    if which == "a":
-        mat = mode_matrix_a(params, n)
-        for r, (q, s) in enumerate(ms):
-            for c, (p, sp) in enumerate(ms):
-                rhs = (
-                    psi_mode(p, sp, nu)
-                    * psibar_mode(q, s, nu)
-                    * cmath.exp(1j * cmath.pi * (2 * e_par - s_par) * (s - sp))
-                )
-                lhs = (p + q + (s - sp) * nu) * mat[r, c]
-                worst = max(worst, abs(lhs - rhs))
-    elif which == "d":
-        for p, sp in ms:
-            for q, s in ms:
-                core = (
-                    psi_mode(q, s, -nu)
-                    * psibar_mode(p, sp, -nu)
-                    / (p + q + (s - sp) * nu)
-                    * cmath.exp(1j * cmath.pi * s_par * (s - sp))
-                )
-                rhs = (
-                    psi_mode(q, s, -nu)
-                    * psibar_mode(p, sp, -nu)
-                    * cmath.exp(1j * cmath.pi * s_par * (s - sp))
-                )
-                lhs = (p + q + (s - sp) * nu) * core
-                worst = max(worst, abs(lhs - rhs))
-    else:
-        raise ValueError("which must be 'a' or 'd'")
+    for r, (x, sx) in enumerate(ms):
+        for c, (y, sy) in enumerate(ms):
+            rhs = (
+                psi_mode(y, sy, nu)
+                * psibar_mode(x, sx, nu)
+                * cmath.exp(1j * cmath.pi * twist * (sx - sy))
+            )
+            lhs = (x + y + (sx - sy) * nu) * mat[r, c]
+            worst = max(worst, abs(lhs - rhs))
     return worst

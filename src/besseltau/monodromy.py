@@ -20,6 +20,7 @@ from .errors import DegenerateParameterError
 
 __all__ = [
     "MonodromyParams",
+    "check_off_lattice",
     "connection_matrix",
     "stokes_matrix",
     "m0",
@@ -35,6 +36,18 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 #: minimal allowed distance of 2*sigma from the integer lattice
 LATTICE_TOL = 1e-8
+
+
+def check_off_lattice(sigma):
+    """Raise DegenerateParameterError when 2*sigma is within LATTICE_TOL of Z."""
+    sigma = complex(sigma)
+    two_sigma = 2 * sigma
+    dist = abs(two_sigma.imag) + abs(two_sigma.real - round(two_sigma.real))
+    if dist < LATTICE_TOL:
+        raise DegenerateParameterError(
+            f"sigma on half-integer lattice: sigma = {sigma} has 2*sigma "
+            f"within {LATTICE_TOL} of an integer"
+        )
 
 
 @dataclass(frozen=True)
@@ -55,13 +68,7 @@ class MonodromyParams:
     def __post_init__(self):
         sigma = complex(self.sigma)
         eta = complex(self.eta)
-        two_sigma = 2 * sigma
-        dist = abs(two_sigma.imag) + abs(two_sigma.real - round(two_sigma.real))
-        if dist < LATTICE_TOL:
-            raise DegenerateParameterError(
-                f"sigma on half-integer lattice: sigma = {sigma} has 2*sigma "
-                f"within {LATTICE_TOL} of an integer"
-            )
+        check_off_lattice(sigma)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "nu", sigma + 0.5)

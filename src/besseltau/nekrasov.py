@@ -29,7 +29,6 @@ from .partitions import (
     partitions_of,
 )
 from .special import barnes_g_ratio, ln_gamma, pochhammer, upsilon
-from .summation import CompensatedSum, kahan_sum
 
 __all__ = [
     "SeriesTruncation",
@@ -46,7 +45,14 @@ __all__ = [
     "z_bif_tilde",
     "check_lemma_identities",
     "quasi_periodicity_residual",
+    "complex_fsum",
 ]
+
+
+def complex_fsum(values) -> complex:
+    """Exactly rounded complex sum: math.fsum on real and imaginary parts."""
+    values = [complex(v) for v in values]
+    return complex(math.fsum(v.real for v in values), math.fsum(v.imag for v in values))
 
 
 @dataclass(frozen=True)
@@ -101,16 +107,12 @@ def z_inst_coefficients(nu, weight_cutoff: int) -> dict:
     nu = complex(nu)
     coeffs = {}
     for w in range(weight_cutoff + 1):
-        acc = CompensatedSum()
-        for w_plus in range(w + 1):
-            for rows_plus in partitions_of(w_plus):
-                for rows_minus in partitions_of(w - w_plus):
-                    acc.add(
-                        _hyper_weight(
-                            nu, YoungDiagram(rows_plus), YoungDiagram(rows_minus)
-                        )
-                    )
-        coeffs[w] = acc.value
+        coeffs[w] = complex_fsum(
+            _hyper_weight(nu, YoungDiagram(rows_plus), YoungDiagram(rows_minus))
+            for w_plus in range(w + 1)
+            for rows_plus in partitions_of(w_plus)
+            for rows_minus in partitions_of(w - w_plus)
+        )
     return coeffs
 
 
@@ -118,7 +120,7 @@ def z_inst(t, nu, trunc: SeriesTruncation) -> complex:
     """Instanton sum sum_k c_k(nu) t^k truncated at the weight cutoff."""
     t = complex(t)
     coeffs = z_inst_coefficients(nu, trunc.weight_cutoff)
-    return kahan_sum(coeffs[k] * t**k for k in sorted(coeffs))
+    return complex_fsum(coeffs[k] * t**k for k in sorted(coeffs))
 
 
 def c_ratio(nu, n: int) -> complex:
@@ -151,7 +153,7 @@ def z_dual_terms(params: MonodromyParams, trunc: SeriesTruncation):
 def z_dual(t, params: MonodromyParams, trunc: SeriesTruncation) -> complex:
     """Dual sum over charges; equals the normalized tau function t^{-nu^2} tau."""
     t = complex(t)
-    return kahan_sum(c * t**e for (_, _, e, c) in z_dual_terms(params, trunc))
+    return complex_fsum(c * t**e for (_, _, e, c) in z_dual_terms(params, trunc))
 
 
 def quasi_periodicity_residual(params: MonodromyParams, trunc: SeriesTruncation) -> float:
@@ -241,7 +243,7 @@ def tau_series_terms(params: MonodromyParams, trunc: SeriesTruncation):
     for q in range(-trunc.charge_cutoff, trunc.charge_cutoff + 1):
         phase = cmath.exp(-4j * cmath.pi * eta * q)
         for w in range(trunc.weight_cutoff + 1):
-            acc = CompensatedSum()
+            weights = []
             for w_plus in range(w + 1):
                 for rows_plus in partitions_of(w_plus):
                     for rows_minus in partitions_of(w - w_plus):
@@ -249,15 +251,15 @@ def tau_series_terms(params: MonodromyParams, trunc: SeriesTruncation):
                             YoungDiagram(rows_plus), YoungDiagram(rows_minus), q
                         )
                         xi, delta = xi_delta(nu, ps, hs, q)
-                        acc.add(xi * delta**2)
-            terms.append((q, w, q * q - 2 * q * nu + w, phase * acc.value))
+                        weights.append(xi * delta**2)
+            terms.append((q, w, q * q - 2 * q * nu + w, phase * complex_fsum(weights)))
     return terms
 
 
 def tau_series_maya(t, params: MonodromyParams, trunc: SeriesTruncation) -> complex:
     """Normalized tau function summed directly over Maya configurations."""
     t = complex(t)
-    return kahan_sum(c * t**e for (_, _, e, c) in tau_series_terms(params, trunc))
+    return complex_fsum(c * t**e for (_, _, e, c) in tau_series_terms(params, trunc))
 
 
 # ---------------------------------------------------------------------------

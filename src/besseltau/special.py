@@ -11,7 +11,6 @@ G(z+1) = Gamma(z) G(z).
 """
 
 import cmath
-import math
 
 import scipy.special
 
@@ -109,7 +108,3 @@ def upsilon(nu, q: int) -> complex:
     """
     nu = complex(nu)
     return cmath.exp(q * ln_gamma(1 + nu)) / barnes_g_ratio(1 + nu, q)
-
-
-def factorial(n: int) -> float:
-    return float(math.factorial(n))

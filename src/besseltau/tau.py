@@ -7,11 +7,12 @@ Three independent routes compute the same normalized tau function
 * ``maya``      — direct sum over pairs of Maya diagrams;
 * ``nekrasov``  — charge-graded sum of instanton sums.
 
-The log-derivative zeta = t d/dt log tau_full (prefactor included) is
-computed analytically for the series routes, by differentiating the
-t-powers term by term, and by a 5-point 4th-order stencil for the
-Fredholm route; the sigma-form and Painleve III (D8) residuals then
-quantify how well each route satisfies the defining ODEs.
+The log-derivatives theta^k log tau_full (theta = t d/dt, prefactor
+included) are exact for every route: one trace formula in the matrices
+B_k = M^{-1} theta^k M, with M = I - A D for the determinant and the
+1 x 1 series sum for the other two routes.  The sigma-form and
+Painleve III (D8) residuals then quantify how well each route
+satisfies the defining ODEs.
 
 Real positive t is assumed for derivatives; complex t is accepted for
 plain evaluation with principal branches throughout (branch continuity
@@ -19,21 +20,22 @@ across arg t = pi is not tracked).
 """
 
 import cmath
-import math
 import warnings
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import BesselTauError
-from .kernel import ModeMatrices, fredholm_det, rank_one_residual
+from .kernel import ModeMatrices, fredholm_det, mode_exponents, rank_one_residual
 from .monodromy import MonodromyParams
 from .nekrasov import (
     SeriesTruncation,
     check_lemma_identities,
+    complex_fsum,
     quasi_periodicity_residual,
     tau_series_terms,
     z_dual_terms,
 )
-from .summation import CompensatedSum, kahan_sum
 
 __all__ = [
     "METHODS",
@@ -72,16 +74,12 @@ class TauValue:
 
 
 def _series_terms(params: MonodromyParams, method: str, trunc: SeriesTruncation):
-    """(exponent, coefficient) records for the chosen series route."""
+    """(weight, exponent, coefficient) records for the chosen series route."""
     if method == "maya":
-        return [(e, c) for (_, _, e, c) in tau_series_terms(params, trunc)]
+        return [(w, e, c) for (_, w, e, c) in tau_series_terms(params, trunc)]
     if method == "nekrasov":
-        return [(e, c) for (_, _, e, c) in z_dual_terms(params, trunc)]
+        return [(w, e, c) for (_, w, e, c) in z_dual_terms(params, trunc)]
     raise ValueError(f"no series terms for method {method!r}")
-
-
-def _eval_terms(terms, t: complex) -> complex:
-    return kahan_sum(c * t**e for e, c in terms)
 
 
 def _check_radius(t, reliable_radius, force):
@@ -105,139 +103,98 @@ def tau(
     """Normalized tau function at t by one of the three routes.
 
     The error estimate is the change of the value at the next-larger
-    truncation (two more modes, or weight cutoff + 1).
+    truncation (two more modes, or weight cutoff + 1).  That truncation
+    is built once; the value is read off its leading 2N x 2N blocks, or
+    off its terms of weight <= cutoff.
     """
     t = complex(t)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     trunc = trunc or SeriesTruncation()
+    if method == "fredholm":
+        if n_modes < 1:
+            raise ValueError(f"n_modes must be >= 1, got {n_modes}")
+        meta = {"n_modes": n_modes}
+    else:
+        meta = {"weight_cutoff": trunc.weight_cutoff, "charge_cutoff": trunc.charge_cutoff}
     if t == 0:
-        meta = (
-            {"n_modes": n_modes}
-            if method == "fredholm"
-            else {"weight_cutoff": trunc.weight_cutoff, "charge_cutoff": trunc.charge_cutoff}
-        )
         return TauValue(t=t, tau=1.0 + 0.0j, method=method, truncation=meta, est_error=0.0)
     _check_radius(t, reliable_radius, force)
 
     if method == "fredholm":
-        val = fredholm_det(ModeMatrices.build(params, t, n_modes))
-        finer = fredholm_det(ModeMatrices.build(params, t, n_modes + 2))
-        return TauValue(
-            t=t,
-            tau=val,
-            method=method,
-            truncation={"n_modes": n_modes},
-            est_error=abs(val - finer),
-        )
-
-    val = _eval_terms(_series_terms(params, method, trunc), t)
-    finer_trunc = SeriesTruncation(trunc.weight_cutoff + 1, trunc.charge_cutoff)
-    finer = _eval_terms(_series_terms(params, method, finer_trunc), t)
-    return TauValue(
-        t=t,
-        tau=val,
-        method=method,
-        truncation={
-            "weight_cutoff": trunc.weight_cutoff,
-            "charge_cutoff": trunc.charge_cutoff,
-        },
-        est_error=abs(val - finer),
-    )
+        finer_modes = ModeMatrices.build(params, t, n_modes + 2)
+        size = 2 * n_modes
+        modes = ModeMatrices(finer_modes.a[:size, :size], finer_modes.d[:size, :size], n_modes, t)
+        val, finer = fredholm_det(modes), fredholm_det(finer_modes)
+    else:
+        finer_trunc = SeriesTruncation(trunc.weight_cutoff + 1, trunc.charge_cutoff)
+        values = [(w, c * t**e) for w, e, c in _series_terms(params, method, finer_trunc)]
+        val = complex_fsum(v for w, v in values if w <= trunc.weight_cutoff)
+        finer = complex_fsum(v for _, v in values)
+    return TauValue(t=t, tau=val, method=method, truncation=meta, est_error=abs(val - finer))
 
 
 # ---------------------------------------------------------------------------
 # Logarithmic derivatives
 
 
-def _theta_cumulants(terms, t: complex, order: int = 4):
-    """Cumulants theta^k log(sum) for theta = t d/dt, k = 1..order.
+def _theta_cumulants(b1, b2, b3, b4):
+    """theta^k log det M, k = 1..4, from B_k = M^{-1} theta^k M.
 
-    With S_k = sum c e^k t^e and R_k = S_k / S_0:
-    theta F = R1, theta^2 F = R2 - R1^2, and so on through order 4.
+    theta B_k = B_{k+1} - B_1 B_k, and the trace is cyclic, so the
+    log-derivatives are the cumulants of the moments B_k.
     """
-    sums = [CompensatedSum() for _ in range(order + 1)]
-    for e, c in terms:
-        base = c * t**e
-        power = 1.0
-        for k in range(order + 1):
-            sums[k].add(base * power)
-            power *= e
-    s0 = sums[0].value
-    if s0 == 0:
-        raise BesselTauError(f"tau vanishes at t = {t}; log-derivative undefined")
-    r = [sums[k].value / s0 for k in range(order + 1)]
-    th1 = r[1]
-    th2 = r[2] - r[1] ** 2
-    th3 = r[3] - 3 * r[1] * r[2] + 2 * r[1] ** 3
-    th4 = r[4] - 4 * r[1] * r[3] - 3 * r[2] ** 2 + 12 * r[1] ** 2 * r[2] - 6 * r[1] ** 4
-    return th1, th2, th3, th4
-
-
-def _default_step(t: float) -> float:
-    return max(1e-3, t / 100)
-
-
-def _log_tau_full(t, params, method, n_modes, trunc):
-    return params.nu**2 * cmath.log(t) + cmath.log(
-        tau(t, params, method, n_modes, trunc, force=True).tau
-    )
-
-
-# 7-point central coefficients for d/ds and d^2/ds^2 (6th order) and for
-# d^3/ds^3 and d^4/ds^4 (4th order), at offsets -3..3
-_C1 = (-1 / 60, 3 / 20, -3 / 4, 0.0, 3 / 4, -3 / 20, 1 / 60)
-_C2 = (1 / 90, -3 / 20, 3 / 2, -49 / 18, 3 / 2, -3 / 20, 1 / 90)
-_C3 = (1 / 8, -1.0, 13 / 8, 0.0, -13 / 8, 1.0, -1 / 8)
-_C4 = (-1 / 6, 2.0, -13 / 2, 28 / 3, -13 / 2, 2.0, -1 / 6)
-
-
-def _stencil_theta(t, params, method, h, n_modes, trunc):
-    """theta^k log tau_full, k = 1..4, from a stencil in s = log t.
-
-    The step in s is h / max(t, 0.05): comparable to a step of h in t,
-    but capped so that small t does not inflate the relative step.
-    Differencing in log t keeps the t^{nu^2} prefactor exactly linear in
-    the stencil variable, so it contributes no stencil error past k = 1.
-    """
-    if h <= 0 or h >= t / 4:
-        raise ValueError(f"stencil step h = {h} must lie in (0, t/4) = (0, {t / 4})")
-    delta = h / max(t, 0.05)
-    f = [
-        _log_tau_full(t * math.exp(k * delta), params, method, n_modes, trunc)
-        for k in range(-3, 4)
-    ]
+    b11 = b1 @ b1
     return tuple(
-        sum(c * v for c, v in zip(coeffs, f)) / delta**k
-        for k, coeffs in enumerate((_C1, _C2, _C3, _C4), start=1)
+        complex(np.trace(x))
+        for x in (
+            b1,
+            b2 - b11,
+            b3 - 3 * b1 @ b2 + 2 * b11 @ b1,
+            b4 - 4 * b1 @ b3 - 3 * b2 @ b2 + 12 * b11 @ b2 - 6 * b11 @ b11,
+        )
     )
+
+
+def _theta_log_tau(t, params, method, n_modes=12, trunc=None):
+    """(theta^1 .. theta^4) log tau_full at real t > 0, theta = t d/dt.
+
+    Fredholm: M = I - A D with theta^k D = E^k * D for the mode exponents
+    E, so B_k = -M^{-1} A (E^k * D).  Series: M is the 1 x 1 sum
+    S_0 = sum c t^e, and B_k = S_k / S_0 with S_k = sum c e^k t^e.
+    """
+    t = float(t)
+    if t <= 0:
+        raise ValueError("theta-derivatives require t > 0")
+    if method == "fredholm":
+        modes = ModeMatrices.build(params, t, n_modes)
+        exps = mode_exponents(params.nu, n_modes)
+        m = np.eye(2 * n_modes) - modes.a @ modes.d
+        rhs = np.hstack([modes.a @ (exps**k * modes.d) for k in range(1, 5)])
+        b = np.hsplit(-np.linalg.solve(m, rhs), 4)
+    elif method in ("maya", "nekrasov"):
+        records = _series_terms(params, method, trunc or SeriesTruncation())
+        terms = [(c * t**e, e) for _, e, c in records]
+        s0, *sk = (complex_fsum(x * e**k for x, e in terms) for k in range(5))
+        if s0 == 0:
+            raise BesselTauError(f"tau vanishes at t = {t}; log-derivative undefined")
+        b = [np.array([[s / s0]]) for s in sk]
+    else:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    th1, th2, th3, th4 = _theta_cumulants(*b)
+    return th1 + params.nu**2, th2, th3, th4
 
 
 def zeta_derivatives(
     t,
     params: MonodromyParams,
     method: str = "maya",
-    h: float = None,
     n_modes: int = 12,
     trunc: SeriesTruncation = None,
 ):
-    """(zeta, zeta', zeta'', zeta''') at real positive t.
-
-    Series routes differentiate the t-powers exactly; the Fredholm route
-    takes theta-derivatives of log tau_full by the log-space stencil.
-    """
+    """(zeta, zeta', zeta'', zeta''') at real positive t, exact for every route."""
+    th1, th2, th3, th4 = _theta_log_tau(t, params, method, n_modes, trunc)
     t = float(t)
-    if t <= 0:
-        raise ValueError("zeta requires t > 0")
-    trunc = trunc or SeriesTruncation()
-    if method in ("maya", "nekrasov"):
-        th1, th2, th3, th4 = _theta_cumulants(_series_terms(params, method, trunc), t)
-        th1 += params.nu**2
-    elif method == "fredholm":
-        h = h or _default_step(t)
-        th1, th2, th3, th4 = _stencil_theta(t, params, method, h, n_modes, trunc)
-    else:
-        raise ValueError(f"unknown method {method!r}")
     return (
         th1,
         th2 / t,
@@ -250,50 +207,43 @@ def zeta(
     t,
     params: MonodromyParams,
     method: str = "maya",
-    h: float = None,
     n_modes: int = 12,
     trunc: SeriesTruncation = None,
 ) -> complex:
     """zeta(t) = t d/dt log tau_full, prefactor t^{nu^2} included."""
-    return zeta_derivatives(t, params, method, h, n_modes, trunc)[0]
+    return _theta_log_tau(t, params, method, n_modes, trunc)[0]
+
+
+def _sigma_form_defect(t, z, zp, zpp) -> float:
+    """|(t zeta'')^2 - 4 zeta'^2 (zeta - t zeta') + 4 zeta'|."""
+    return abs((t * zpp) ** 2 - 4 * zp**2 * (z - t * zp) + 4 * zp)
 
 
 def ode_residual(
     t,
     params: MonodromyParams,
     method: str = "maya",
-    h: float = None,
     n_modes: int = 12,
     trunc: SeriesTruncation = None,
 ) -> float:
     """Defect of the sigma-form: |(t zeta'')^2 - 4 zeta'^2 (zeta - t zeta') + 4 zeta'|."""
-    z, zp, zpp, _ = zeta_derivatives(t, params, method, h, n_modes, trunc)
-    return abs((t * zpp) ** 2 - 4 * zp**2 * (z - t * zp) + 4 * zp)
+    z, zp, zpp, _ = zeta_derivatives(t, params, method, n_modes, trunc)
+    return _sigma_form_defect(float(t), z, zp, zpp)
 
 
 def painleve_q(
     t,
     params: MonodromyParams,
     method: str = "maya",
-    h: float = None,
     n_modes: int = 12,
     trunc: SeriesTruncation = None,
 ):
     """(q, residual) with q = -t zeta' and the degenerate-III defect.
 
     residual = |q'' - q'^2/q + q'/t - 2 q^2/t^2 + 2/t|, derivatives in t.
-    Series routes evaluate everything analytically; the Fredholm route
-    uses the same log-space stencil as zeta_derivatives.
     """
+    _, th2, th3, th4 = _theta_log_tau(t, params, method, n_modes, trunc)
     t = float(t)
-    trunc = trunc or SeriesTruncation()
-    if method in ("maya", "nekrasov"):
-        _, th2, th3, th4 = _theta_cumulants(_series_terms(params, method, trunc), t)
-    elif method == "fredholm":
-        h = h or _default_step(t)
-        _, th2, th3, th4 = _stencil_theta(t, params, method, h, n_modes, trunc)
-    else:
-        raise ValueError(f"unknown method {method!r}")
     q = -th2
     qp = -th3 / t
     qpp = (th3 - th4) / t**2
@@ -309,11 +259,6 @@ def painleve_q(
 # Radial sine-Gordon picture
 
 
-def _q_at(t, params, method, trunc):
-    _, th2, _, _ = _theta_cumulants(_series_terms(params, method, trunc), t)
-    return -th2
-
-
 def sine_gordon_map(
     r,
     params: MonodromyParams,
@@ -327,9 +272,8 @@ def sine_gordon_map(
     r = float(r)
     if r <= 0:
         raise ValueError("sine_gordon_map requires r > 0")
-    trunc = trunc or SeriesTruncation()
     t = 2.0**-12 * r**4
-    q = _q_at(t, params, method, trunc)
+    q = -_theta_log_tau(t, params, method, trunc=trunc)[1]
     if q == 0:
         raise BesselTauError(f"q = 0 at t = {t}; sine-Gordon field undefined")
     return -1j * cmath.log(-(2.0**6) * q / r**2)

@@ -140,7 +140,7 @@ class TestAcceptance:
         for t in (0.02, 0.05, 0.1):
             assert ode_residual(t, P_GENERIC, "maya", trunc=trunc) < 1e-6, f"t = {t}"
             assert (
-                ode_residual(t, P_GENERIC, "fredholm", h=1e-3, n_modes=12) < 1e-5
+                ode_residual(t, P_GENERIC, "fredholm", n_modes=12) < 1e-5
             ), f"t = {t}"
 
     def test_09_degenerate_painleve_residual(self):
@@ -148,7 +148,7 @@ class TestAcceptance:
         _, res = painleve_q(0.05, P_GENERIC, "maya", trunc=SeriesTruncation(8, 3))
         assert res < 1e-5
         p_elem = MonodromyParams.from_nu(0.25, 0.25)
-        q, _ = painleve_q(0.05, p_elem, "fredholm", h=1e-3, n_modes=12)
+        q, _ = painleve_q(0.05, p_elem, "fredholm", n_modes=12)
         assert q == pytest.approx(-math.sqrt(0.05), abs=1e-8)
 
     def test_10_quasi_periodicity(self):

@@ -51,6 +51,33 @@ class TestValidation:
         result = runner.invoke(main, ["tau", "-c", cfg])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            # Python's json reads NaN and Infinity
+            '{"sigma": [NaN, 0]}',
+            '{"sigma": [Infinity, 0]}',
+            '{"eta": [0.1, -Infinity]}',
+            '{"t_grid": {"start": NaN}}',
+            '{"N_modes": 2.7}',
+            '{"weight_cutoff": 1.5}',
+            '{"charge_cutoff": "two"}',
+            '{"t_grid": {"start": 0.01, "stop": 0.05, "count": 2.5}}',
+            '{"tolerance": "tight"}',
+            '{"fd_step": 1e-3}',
+        ],
+    )
+    def test_bad_value_exits_2(self, runner, tmp_path, payload):
+        path = tmp_path / "config.json"
+        path.write_text(payload)
+        result = runner.invoke(main, ["tau", "-c", str(path)])
+        assert result.exit_code == 2, result.output
+        assert "config error" in result.output
+
+    def test_integral_float_accepted(self, runner, tmp_path):
+        cfg = _config(tmp_path, {"method": "fredholm", "N_modes": 6.0})
+        assert runner.invoke(main, ["tau", "-c", cfg]).exit_code == 0
+
     def test_bad_method_exits_2(self, runner, tmp_path):
         cfg = _config(tmp_path, {"method": "pade"})
         result = runner.invoke(main, ["tau", "-c", cfg])

@@ -18,6 +18,7 @@ from besseltau.kernel import (
     fredholm_det_block,
     kernel_a,
     kernel_d,
+    mode_exponents,
     mode_list,
     mode_matrix_a,
     mode_matrix_d,
@@ -113,6 +114,29 @@ class TestModeMatrices:
         assert rank_one_residual(P_REAL, 6, which) < 1e-12
         assert rank_one_residual(P_COMPLEX, 6, which) < 1e-12
 
+    @pytest.mark.parametrize("which", ["a", "d"])
+    def test_rank_one_detects_perturbed_block(self, which, monkeypatch):
+        import besseltau.kernel as kernel_mod
+
+        name = f"mode_matrix_{which}"
+        orig = getattr(kernel_mod, name)
+
+        def perturbed(*args, **kwargs):
+            m = orig(*args, **kwargs)
+            m[1, 2] *= 1 + 1e-6
+            return m
+
+        monkeypatch.setattr(kernel_mod, name, perturbed)
+        assert rank_one_residual(P_REAL, 6, which) > 1e-10
+
+    def test_exponents_carry_the_t_dependence(self):
+        t = 0.3 + 0.1j
+        d1 = mode_matrix_d(P_COMPLEX, 1.0, 3)
+        scaled = d1 * t ** mode_exponents(P_COMPLEX.nu, 3)
+        np.testing.assert_allclose(mode_matrix_d(P_COMPLEX, t, 3), scaled, rtol=1e-14)
+        # the equal-color entries carry the integer powers t^{p+q}
+        assert mode_exponents(P_COMPLEX.nu, 2)[0, 0] == 1
+
 
 class TestDeterminant:
     def test_block_form_agrees(self):
@@ -125,6 +149,18 @@ class TestDeterminant:
         ref = fredholm_det(ModeMatrices.build(P_REAL, 0.05, 16))
         assert val == pytest.approx(ref, rel=1e-11)
         assert err < 1e-12
+
+    def test_adaptive_reports_unconverged_change(self):
+        # at t = 3 the value needs N = 32 to settle; capped at 16 the
+        # estimate is the last change, not zero
+        val, n, err = adaptive_fredholm_det(P_REAL, 3.0, tol=1e-12, max_n=16)
+        assert n == 16
+        assert err > 1e-12
+        assert err == abs(val - fredholm_det(ModeMatrices.build(P_REAL, 3.0, 8)))
+
+    def test_empty_truncation_rejected(self):
+        with pytest.raises(ValueError):
+            ModeMatrices.build(P_REAL, 0.05, 0)
 
     def test_branch_sign_invariance(self):
         base = fredholm_det(ModeMatrices.build(P_REAL, 0.05, 8))

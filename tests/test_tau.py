@@ -1,11 +1,13 @@
 """Unit tests for the tau engine."""
 
+import cmath
 import math
 
 import pytest
 
+from besseltau.kernel import ModeMatrices, fredholm_det
 from besseltau.monodromy import MonodromyParams
-from besseltau.nekrasov import SeriesTruncation
+from besseltau.nekrasov import SeriesTruncation, tau_series_maya
 from besseltau.tau import (
     METHODS,
     TauValue,
@@ -23,6 +25,43 @@ P_GENERIC = MonodromyParams.from_nu(0.37, 0.11)
 P_ELEM_PLUS = MonodromyParams.from_nu(0.25, 0.25)  # tau = t^{1/16} e^{+4 sqrt t}
 TRUNC = SeriesTruncation(6, 2)
 TRUNC_FINE = SeriesTruncation(8, 4)
+
+# 7-point central coefficients in s = log t at offsets -3..3: d/ds and
+# d^2/ds^2 (6th order), d^3/ds^3 and d^4/ds^4 (4th order)
+_STENCILS = (
+    (-1 / 60, 3 / 20, -3 / 4, 0.0, 3 / 4, -3 / 20, 1 / 60),
+    (1 / 90, -3 / 20, 3 / 2, -49 / 18, 3 / 2, -3 / 20, 1 / 90),
+    (1 / 8, -1.0, 13 / 8, 0.0, -13 / 8, 1.0, -1 / 8),
+    (-1 / 6, 2.0, -13 / 2, 28 / 3, -13 / 2, 2.0, -1 / 6),
+)
+
+
+def stencil_theta(t, params, h, n_modes=12):
+    """Oracle for theta^k log tau_full, k = 1..4: finite differences of
+    Fredholm determinants in s = log t, step h / max(t, 0.05).
+
+    It shares no derivative code with the package.  Differencing in log t
+    keeps the t^{nu^2} prefactor exactly linear in s.
+    """
+    delta = h / max(t, 0.05)
+    f = [
+        params.nu**2 * math.log(x)
+        + cmath.log(tau(x, params, "fredholm", n_modes=n_modes, force=True).tau)
+        for x in (t * math.exp(k * delta) for k in range(-3, 4))
+    ]
+    return tuple(
+        sum(c * v for c, v in zip(coeffs, f)) / delta**k
+        for k, coeffs in enumerate(_STENCILS, start=1)
+    )
+
+
+def exact_theta(t, params, method, **kwargs):
+    """theta^k log tau_full from the package's zeta derivatives."""
+    z, zp, zpp, zppp = zeta_derivatives(t, params, method, **kwargs)
+    th2 = t * zp
+    th3 = t**2 * zpp + th2
+    th4 = t**3 * zppp + 3 * th3 - 2 * th2
+    return z, th2, th3, th4
 
 
 class TestTauValue:
@@ -61,6 +100,28 @@ class TestTau:
         fine = tau(0.05, P_GENERIC, "maya", trunc=SeriesTruncation(10, 3))
         assert abs(coarse.tau - fine.tau) < 10 * coarse.est_error
 
+    @pytest.mark.parametrize("n_modes", [0, -1])
+    def test_empty_truncation_rejected(self, n_modes):
+        with pytest.raises(ValueError, match="n_modes"):
+            tau(0.05, P_GENERIC, "fredholm", n_modes=n_modes)
+        with pytest.raises(ValueError):
+            zeta_derivatives(0.05, P_GENERIC, "fredholm", n_modes=n_modes)
+
+    def test_finer_truncation_shared(self):
+        # the value is read off the finer truncation; its blocks and terms
+        # equal separate coarse builds, so only the determinant's last ulp
+        # may move
+        t = 0.05
+        tv = tau(t, P_GENERIC, "fredholm", n_modes=8)
+        alone = fredholm_det(ModeMatrices.build(P_GENERIC, t, 8))
+        assert tv.tau == pytest.approx(alone, rel=1e-15)
+        finer = fredholm_det(ModeMatrices.build(P_GENERIC, t, 10))
+        assert tv.est_error == pytest.approx(abs(finer - alone), rel=1e-6, abs=1e-15)
+        tv = tau(t, P_GENERIC, "maya", trunc=TRUNC)
+        assert tv.tau == tau_series_maya(t, P_GENERIC, TRUNC)
+        finer = tau_series_maya(t, P_GENERIC, SeriesTruncation(7, 2))
+        assert tv.est_error == abs(finer - tv.tau)
+
     def test_truncation_metadata(self):
         tv = tau(0.05, P_GENERIC, "fredholm", n_modes=6)
         assert tv.truncation == {"n_modes": 6}
@@ -72,10 +133,6 @@ class TestZeta:
     def test_requires_positive_t(self):
         with pytest.raises(ValueError):
             zeta(-0.1, P_GENERIC, "maya", trunc=TRUNC)
-
-    def test_step_bound_enforced(self):
-        with pytest.raises(ValueError, match="stencil step"):
-            zeta(0.01, P_GENERIC, "fredholm", h=0.01)
 
     def test_elementary_solution(self):
         t = 0.05
@@ -94,19 +151,26 @@ class TestZeta:
     def test_stencil_matches_analytic(self):
         t = 0.05
         analytic = zeta(t, P_GENERIC, "maya", trunc=SeriesTruncation(9, 3))
-        stencil = zeta(t, P_GENERIC, "fredholm", h=1e-3, n_modes=12)
+        stencil = stencil_theta(t, P_GENERIC, h=1e-3)[0]
         assert stencil == pytest.approx(analytic, abs=1e-10)
 
     def test_stencil_refinement_order(self):
-        # halving h must shrink the error by at least the nominal O(h^4)
+        # the oracle converges to the exact Fredholm path at (at least)
+        # its nominal O(h^4), at every order
         t = 0.1
-        analytic = zeta(t, P_GENERIC, "maya", trunc=SeriesTruncation(9, 3))
-        err = [
-            abs(zeta(t, P_GENERIC, "fredholm", h=h, n_modes=12) - analytic)
-            for h in (1.6e-2, 8e-3, 4e-3)
-        ]
-        assert err[0] / err[1] > 12
-        assert err[1] / err[2] > 12
+        exact = exact_theta(t, P_GENERIC, "fredholm", n_modes=12)
+        stencils = [stencil_theta(t, P_GENERIC, h) for h in (1.6e-2, 8e-3, 4e-3)]
+        for k in range(4):
+            err = [abs(st[k] - exact[k]) for st in stencils]
+            assert err[0] / err[1] > 12, f"order {k + 1}"
+            assert err[1] / err[2] > 12, f"order {k + 1}"
+
+    @pytest.mark.parametrize("t", [0.02, 0.05, 0.1])
+    def test_fredholm_matches_series(self, t):
+        fred = zeta_derivatives(t, P_GENERIC, "fredholm", n_modes=12)
+        maya = zeta_derivatives(t, P_GENERIC, "maya", trunc=SeriesTruncation(9, 3))
+        for k, (f, m, tol) in enumerate(zip(fred, maya, (1e-13, 1e-12, 1e-10, 1e-8))):
+            assert abs(f - m) < tol, f"zeta derivative {k}"
 
     def test_derivative_consistency(self):
         # analytic zeta' against a numerical derivative of analytic zeta
@@ -140,9 +204,14 @@ class TestResiduals:
     def test_q_fredholm_stencil(self):
         t = 0.05
         q_series, _ = painleve_q(t, P_GENERIC, "maya", trunc=SeriesTruncation(8, 3))
-        q_fred, res = painleve_q(t, P_GENERIC, "fredholm", h=1e-3, n_modes=12)
+        q_fred, res = painleve_q(t, P_GENERIC, "fredholm", n_modes=12)
         assert q_fred == pytest.approx(q_series, abs=1e-9)
+        assert q_fred == pytest.approx(-stencil_theta(t, P_GENERIC, h=1e-3)[1], abs=1e-9)
         assert res < 1e-4
+
+    @pytest.mark.parametrize("t", [0.02, 0.05, 0.1])
+    def test_sigma_form_fredholm_exact(self, t):
+        assert ode_residual(t, P_GENERIC, "fredholm", n_modes=12) < 1e-12
 
 
 class TestSineGordon:
@@ -162,6 +231,11 @@ class TestSineGordon:
 
     def test_field_equation_residual(self):
         assert sine_gordon_residual(1.2, P_GENERIC, "maya", trunc=TRUNC_FINE) < 1e-4
+
+    def test_fredholm_field_matches_series(self):
+        u_fred = sine_gordon_map(1.2, P_GENERIC, "fredholm")
+        u_maya = sine_gordon_map(1.2, P_GENERIC, "maya", trunc=TRUNC_FINE)
+        assert u_fred == pytest.approx(u_maya, abs=1e-10)
 
 
 class TestCrossValidation:
