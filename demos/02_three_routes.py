@@ -5,24 +5,25 @@ Fourier-mode Cauchy-matrix basis), the sum over pairs of Maya diagrams,
 and the charge-graded instanton sum are three very different algorithms
 that must produce the same number.  This script evaluates all three
 across a t-grid at generic parameters and prints the pairwise spreads
-next to each route's internal truncation-error estimate.
+next to each route's internal truncation-error estimate.  Each route
+is built once, as a TauRoute, and evaluated at every t.
 """
 
 import numpy as np
 
-from besseltau import MonodromyParams, SeriesTruncation, cross_validate, tau
+from besseltau import MonodromyParams, SeriesTruncation, TauRoute, cross_validate
 
 params = MonodromyParams.from_nu(0.37, 0.11)
 trunc = SeriesTruncation(weight_cutoff=6, charge_cutoff=2)
+routes = {
+    m: TauRoute(params, m, n_modes=12, trunc=trunc) for m in ("fredholm", "maya", "nekrasov")
+}
 
 print(f"parameters: sigma = {params.sigma}, eta = {params.eta}  (nu = {params.nu})")
 print(f"{'t':>6} {'fredholm (N=12)':>28} {'max pairwise rel diff':>22} "
       f"{'max est_error':>15}")
 for t in np.geomspace(0.005, 0.2, 6):
-    values = {
-        m: tau(t, params, m, n_modes=12, trunc=trunc, force=True)
-        for m in ("fredholm", "maya", "nekrasov")
-    }
+    values = {m: route.tau(t) for m, route in routes.items()}
     spread = max(
         abs(a.tau - b.tau) / abs(b.tau)
         for a in values.values()

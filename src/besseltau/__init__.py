@@ -45,6 +45,7 @@ from .partitions import (
     young_from_maya,
 )
 from .tau import (
+    TauRoute,
     TauValue,
     cross_validate,
     ode_residual,
@@ -91,6 +92,7 @@ __all__ = [
     "YoungDiagram",
     "maya_from_young",
     "young_from_maya",
+    "TauRoute",
     "TauValue",
     "cross_validate",
     "ode_residual",

@@ -32,12 +32,13 @@ from .monodromy import MonodromyParams
 from .nekrasov import (
     SeriesTruncation,
     check_lemma_identities,
+    complex_fsum,
     quasi_periodicity_residual,
     tau_series_terms,
     z_dual_terms,
 )
 from .partitions import YoungDiagram, maya_from_young, partitions_of, young_from_maya
-from .tau import METHODS, _sigma_form_defect, ode_residual, tau, zeta_derivatives
+from .tau import METHODS, TauRoute, _sigma_form_defect
 
 CSV_HEADER = (
     "t_re,t_im,tau_fred_re,tau_fred_im,tau_maya_re,tau_maya_im,"
@@ -230,21 +231,20 @@ def tau_cmd(config_path):
     def run():
         cfg = _load_config(config_path)
         params, ts, methods, trunc, n_modes = _validate(cfg)
+        routes = {m: TauRoute(params, m, n_modes, trunc) for m in methods}
+        zroute = routes["maya" if "maya" in methods else methods[0]]
+        col = {"fredholm": "tau_fred", "maya": "tau_maya", "nekrasov": "tau_nek"}
         records = []
         for t in ts:
             rec = dict.fromkeys(CSV_HEADER.split(","))
             rec["t_re"], rec["t_im"] = t, 0.0
             est = 0.0
-            col = {"fredholm": "tau_fred", "maya": "tau_maya", "nekrasov": "tau_nek"}
-            for m in methods:
-                tv = tau(t, params, m, n_modes=n_modes, trunc=trunc, force=True)
+            for m, route in routes.items():
+                tv = route.tau(t, force=True)
                 rec[f"{col[m]}_re"], rec[f"{col[m]}_im"] = tv.tau.real, tv.tau.imag
                 est = max(est, tv.est_error)
-            zmethod = "maya" if "maya" in methods else methods[0]
             if t > 0:
-                z, zp, zpp, _ = zeta_derivatives(
-                    t, params, zmethod, n_modes=n_modes, trunc=trunc
-                )
+                z, zp, zpp, _ = zroute.zeta_derivatives(t)
                 rec["zeta_re"], rec["zeta_im"] = z.real, z.imag
                 rec["ode_residual"] = _sigma_form_defect(t, z, zp, zpp)
             rec["est_error"] = est
@@ -318,21 +318,22 @@ def convergence(config_path):
     def run():
         cfg = _load_config(config_path)
         params, ts, _, trunc, n_modes = _validate(cfg)
-        t = ts[0]
+        t = complex(ts[0])
+        # one build each: leading blocks of the N build, partial sums of the W table
+        full = ModeMatrices.build(params, t, n_modes)
+        terms = [(w, c * t**e) for (_, w, e, c) in tau_series_terms(params, trunc)]
+        rows = [
+            ("fredholm_N", n, fredholm_det(full.leading(n))) for n in range(2, n_modes + 1, 2)
+        ] + [
+            ("maya_W", w, complex_fsum(v for k, v in terms if k <= w))
+            for w in range(trunc.weight_cutoff + 1)
+        ]
         lines = ["study,level,value_re,value_im,abs_change"]
-        prev = None
-        for n in range(2, n_modes + 1, 2):
-            val = fredholm_det(ModeMatrices.build(params, t, n))
-            change = abs(val - prev) if prev is not None else float("nan")
-            lines.append(f"fredholm_N,{n},{_fmt(val.real)},{_fmt(val.imag)},{_fmt(change)}")
-            prev = val
-        prev = None
-        for w in range(trunc.weight_cutoff + 1):
-            sub = SeriesTruncation(w, trunc.charge_cutoff)
-            val = sum(c * t**e for (_, _, e, c) in tau_series_terms(params, sub))
-            change = abs(val - prev) if prev is not None else float("nan")
-            lines.append(f"maya_W,{w},{_fmt(val.real)},{_fmt(val.imag)},{_fmt(change)}")
-            prev = val
+        prev = {}
+        for study, level, val in rows:
+            change = abs(val - prev[study]) if study in prev else float("nan")
+            lines.append(f"{study},{level},{_fmt(val.real)},{_fmt(val.imag)},{_fmt(change)}")
+            prev[study] = val
         _write(cfg, "\n".join(lines) + "\n")
 
     _run_guarded(run)
@@ -375,10 +376,8 @@ def check(config_path):
         record("maya_vs_box_weights", lemmas["maya_vs_box"], 1e-10)
         record("cauchy_vs_inst_weights", lemmas["cauchy_vs_inst"], 1e-10)
 
-        vals = {
-            m: tau(t, params, m, n_modes=n_modes, trunc=trunc, force=True).tau
-            for m in METHODS
-        }
+        routes = {m: TauRoute(params, m, n_modes, trunc) for m in METHODS}
+        vals = {m: route.tau(t, force=True).tau for m, route in routes.items()}
         worst = max(
             abs(vals[a] - vals[b]) / abs(vals[b])
             for a in METHODS
@@ -386,10 +385,7 @@ def check(config_path):
             if a < b
         )
         record("three_route_agreement", worst, float(cfg["tolerance"]))
-
-        record(
-            "sigma_form_ode", ode_residual(t, params, "maya", trunc=trunc), 1e-6
-        )
+        record("sigma_form_ode", routes["maya"].ode_residual(t), 1e-6)
         record(
             "quasi_periodicity",
             quasi_periodicity_residual(params, SeriesTruncation(4, trunc.charge_cutoff)),
@@ -397,7 +393,7 @@ def check(config_path):
         )
 
         shifted_eta = MonodromyParams(params.sigma, params.eta + 0.5)
-        t_eta = tau(t, shifted_eta, "nekrasov", trunc=trunc, force=True).tau
+        t_eta = TauRoute(shifted_eta, "nekrasov", trunc=trunc).tau(t, force=True).tau
         record(
             "eta_half_periodicity",
             abs(t_eta - vals["nekrasov"]) / abs(vals["nekrasov"]),

@@ -146,39 +146,43 @@ def psibar_mode(p: float, s: int, nu: complex, branch_sign: int = 1) -> complex:
     )
 
 
-def _denominator(p, sp, q, s, nu):
-    """x_{p;s'} - x_{-q;s} = p + q + (s - s') nu, guarded against collision."""
-    den = p + q + (s - sp) * nu
-    if abs(den) < 1e-10:
+def _cauchy_block(nu, twist, n: int, branch_sign=None) -> np.ndarray:
+    """Mode block with rows (x, s_x) and columns (y, s_y), both in mode_list order.
+
+    Entry psi^{y;s_y}(nu) psibar_{x;s_x}(nu) / (x + y + (s_x - s_y) nu)
+    times the phase exp(i pi twist (s_x - s_y)): a Cauchy matrix up to
+    diagonal factors.  Raises CauchyCollisionError when a denominator
+    (a difference of shifted momenta) vanishes.
+    """
+    branch_sign = branch_sign or {1: 1, -1: 1}
+    ms = mode_list(n)
+    pos = np.array([p for p, _ in ms])
+    color = np.array([s for _, s in ms])
+    psi = np.array([psi_mode(p, s, nu, branch_sign[s]) for p, s in ms])
+    psibar = np.array([psibar_mode(p, s, nu, branch_sign[s]) for p, s in ms])
+    dcolor = color[:, None] - color[None, :]
+    den = pos[:, None] + pos[None, :] + dcolor * nu
+    small = np.abs(den) < 1e-10
+    if small.any():
+        r, c = np.argwhere(small)[0]
         raise CauchyCollisionError(
-            f"shifted momenta collide: p={p}, s'={sp}, q={q}, s={s}, nu={nu}"
+            f"shifted momenta collide: rows ({ms[r]}), columns ({ms[c]}), nu={nu}"
         )
-    return den
+    # s_x - s_y takes the values -2, 0, 2
+    phases = np.array([cmath.exp(1j * cmath.pi * twist * k) for k in (-2, 0, 2)])
+    return psi[None, :] * psibar[:, None] / den * phases[dcolor // 2 + 1]
 
 
 def mode_matrix_a(params: MonodromyParams, n: int, branch_sign=None) -> np.ndarray:
     """Closed-form a-modes: rows are hole modes (-q, s), columns particle modes (p, s').
 
     Each entry is psi^{p;s'}(nu) psibar_{q;s}(nu) / (x_{p;s'} - x_{-q;s})
-    times the phase exp(i pi (2 eta - sigma)(s - s')): a Cauchy matrix up
-    to diagonal factors.  ``branch_sign`` optionally flips the square-root
-    branch inside psi and psibar per color, {+1: +-1, -1: +-1}.
+    times the phase exp(i pi (2 eta - sigma)(s - s')), with the momentum
+    difference x_{p;s'} - x_{-q;s} = p + q + (s - s') nu.
+    ``branch_sign`` optionally flips the square-root branch inside psi and
+    psibar per color, {+1: +-1, -1: +-1}.
     """
-    branch_sign = branch_sign or {1: 1, -1: 1}
-    nu, s_par, e_par = params.nu, params.sigma, params.eta
-    ms = mode_list(n)
-    psis = {(p, s): psi_mode(p, s, nu, branch_sign[s]) for p, s in ms}
-    psibars = {(q, s): psibar_mode(q, s, nu, branch_sign[s]) for q, s in ms}
-    a = np.empty((2 * n, 2 * n), dtype=complex)
-    for r, (q, s) in enumerate(ms):
-        for c, (p, sp) in enumerate(ms):
-            a[r, c] = (
-                psis[p, sp]
-                * psibars[q, s]
-                / _denominator(p, sp, q, s, nu)
-                * cmath.exp(1j * cmath.pi * (2 * e_par - s_par) * (s - sp))
-            )
-    return a
+    return _cauchy_block(params.nu, 2 * params.eta - params.sigma, n, branch_sign)
 
 
 def mode_exponents(nu, n: int) -> np.ndarray:
@@ -194,27 +198,14 @@ def mode_matrix_d(params: MonodromyParams, t, n: int, branch_sign=None) -> np.nd
     """Closed-form d-modes: rows are particle modes (p, s'), columns hole modes (-q, s).
 
     The t dependence is isolated in the factors t**mode_exponents; the
-    t-independent core is the a-matrix structure with nu -> -nu and
-    phase exp(i pi sigma (s - s')).
+    t-independent core D(1) is the a-block under nu -> -nu with twist
+    -sigma, i.e. phase exp(i pi sigma (s - s')).
     """
-    branch_sign = branch_sign or {1: 1, -1: 1}
     t = complex(t)
-    nu, s_par = params.nu, params.sigma
-    ms = mode_list(n)
     if t == 0:
         return np.zeros((2 * n, 2 * n), dtype=complex)
-    psis = {(q, s): psi_mode(q, s, -nu, branch_sign[s]) for q, s in ms}
-    psibars = {(p, s): psibar_mode(p, s, -nu, branch_sign[s]) for p, s in ms}
-    d = np.empty((2 * n, 2 * n), dtype=complex)
-    for r, (p, sp) in enumerate(ms):
-        for c, (q, s) in enumerate(ms):
-            d[r, c] = (
-                psis[q, s]
-                * psibars[p, sp]
-                / _denominator(p, sp, q, s, nu)
-                * cmath.exp(1j * cmath.pi * s_par * (s - sp))
-            )
-    return d * t ** mode_exponents(nu, n)
+    core = _cauchy_block(-params.nu, -params.sigma, n, branch_sign)
+    return core * t ** mode_exponents(params.nu, n)
 
 
 @dataclass(frozen=True)
@@ -237,9 +228,11 @@ class ModeMatrices:
             t=complex(t),
         )
 
-    @property
-    def ordering(self):
-        return mode_list(self.n)
+    def leading(self, n: int) -> "ModeMatrices":
+        """The blocks at truncation n <= self.n: by the interleaved ordering,
+        the leading 2n x 2n corners."""
+        size = 2 * n
+        return ModeMatrices(self.a[:size, :size], self.d[:size, :size], n, self.t)
 
 
 def modes_by_quadrature(kern, n: int, radius: float, block: str = "a", samples=None) -> np.ndarray:

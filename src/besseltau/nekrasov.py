@@ -21,13 +21,7 @@ from dataclasses import dataclass
 
 from .errors import DegenerateParameterError
 from .monodromy import MonodromyParams
-from .partitions import (
-    YoungDiagram,
-    arm,
-    leg,
-    maya_from_young,
-    partitions_of,
-)
+from .partitions import YoungDiagram, maya_from_young, partitions_of
 from .special import barnes_g_ratio, ln_gamma, pochhammer, upsilon
 
 __all__ = [
@@ -78,11 +72,13 @@ def z_bif(nu, y_plus: YoungDiagram, y_minus: YoungDiagram) -> complex:
     z_bif(-nu, Y-, Y+) = (-1)^{|Y+| + |Y-|} z_bif(nu, Y+, Y-).
     """
     nu = complex(nu)
+    # extended arm Y_i - j and leg Y'_j - i, each conjugate built once
+    cols_plus, cols_minus = y_plus.conjugate(), y_minus.conjugate()
     out = 1.0 + 0.0j
     for i, j in y_plus.boxes():
-        out *= nu + 1 + arm(y_plus, i, j) + leg(y_minus, i, j)
+        out *= nu + 1 + (y_plus.row(i) - j) + (cols_minus.row(j) - i)
     for i, j in y_minus.boxes():
-        out *= nu - 1 - arm(y_minus, i, j) - leg(y_plus, i, j)
+        out *= nu - 1 - (y_minus.row(i) - j) - (cols_plus.row(j) - i)
     return out
 
 

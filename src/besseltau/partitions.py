@@ -17,15 +17,12 @@ from dataclasses import dataclass
 __all__ = [
     "YoungDiagram",
     "MayaDiagram",
-    "ChargedPair",
-    "charge",
     "young_from_maya",
     "maya_from_young",
     "arm",
     "leg",
     "hook",
     "partitions_of",
-    "enumerate_pairs",
 ]
 
 
@@ -96,27 +93,6 @@ class MayaDiagram:
         return len(self.particles) - len(self.holes)
 
 
-@dataclass(frozen=True)
-class ChargedPair:
-    """Two Maya diagrams subject to the neutrality condition."""
-
-    m_plus: MayaDiagram
-    m_minus: MayaDiagram
-
-    def __post_init__(self):
-        if self.m_plus.charge + self.m_minus.charge != 0:
-            raise ValueError("charges must sum to zero")
-
-    @property
-    def q(self) -> int:
-        return self.m_plus.charge
-
-
-def charge(m: MayaDiagram) -> int:
-    """Number of particles minus number of holes."""
-    return m.charge
-
-
 def maya_from_young(y: YoungDiagram, q: int) -> MayaDiagram:
     """Charged partition -> Maya diagram via the profile walk."""
     rows = y.rows
@@ -179,19 +155,3 @@ def partitions_of(n: int):
                 yield (first,) + rest
 
     return tuple(sorted(gen(n, n)))
-
-
-def enumerate_pairs(weight_cutoff: int, charge_cutoff: int):
-    """All triples (Y+, Y-, Q) with |Y+| + |Y-| <= W and |Q| <= Qmax.
-
-    Deterministic order: total weight ascending, then Q, then the split
-    |Y+|, then lexicographic in each partition.
-    """
-    if weight_cutoff < 0 or charge_cutoff < 0:
-        raise ValueError("cutoffs must be nonnegative")
-    for w in range(weight_cutoff + 1):
-        for q in range(-charge_cutoff, charge_cutoff + 1):
-            for w_plus in range(w + 1):
-                for rows_plus in partitions_of(w_plus):
-                    for rows_minus in partitions_of(w - w_plus):
-                        yield YoungDiagram(rows_plus), YoungDiagram(rows_minus), q

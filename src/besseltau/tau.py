@@ -7,6 +7,11 @@ Three independent routes compute the same normalized tau function
 * ``maya``      — direct sum over pairs of Maya diagrams;
 * ``nekrasov``  — charge-graded sum of instanton sums.
 
+All three are a t-independent structure (A and D(1) with D(t) =
+D(1) * t**E, or the series records c t^e) evaluated in powers of t.  A
+``TauRoute`` builds it once and evaluates it at every t of a grid; the
+module-level functions build a route for a single point.
+
 The log-derivatives theta^k log tau_full (theta = t d/dt, prefactor
 included) are exact for every route: one trace formula in the matrices
 B_k = M^{-1} theta^k M, with M = I - A D for the determinant and the
@@ -26,7 +31,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BesselTauError
-from .kernel import ModeMatrices, fredholm_det, mode_exponents, rank_one_residual
+from .kernel import (
+    ModeMatrices,
+    fredholm_det,
+    kernel_a,
+    mode_exponents,
+    mode_matrix_a,
+    mode_matrix_d,
+    modes_by_quadrature,
+    rank_one_residual,
+)
 from .monodromy import MonodromyParams
 from .nekrasov import (
     SeriesTruncation,
@@ -40,6 +54,7 @@ from .nekrasov import (
 __all__ = [
     "METHODS",
     "TauValue",
+    "TauRoute",
     "tau",
     "zeta",
     "zeta_derivatives",
@@ -73,71 +88,6 @@ class TauValue:
             raise ValueError("est_error must be nonnegative")
 
 
-def _series_terms(params: MonodromyParams, method: str, trunc: SeriesTruncation):
-    """(weight, exponent, coefficient) records for the chosen series route."""
-    if method == "maya":
-        return [(w, e, c) for (_, w, e, c) in tau_series_terms(params, trunc)]
-    if method == "nekrasov":
-        return [(w, e, c) for (_, w, e, c) in z_dual_terms(params, trunc)]
-    raise ValueError(f"no series terms for method {method!r}")
-
-
-def _check_radius(t, reliable_radius, force):
-    if abs(t) > reliable_radius and not force:
-        warnings.warn(
-            f"|t| = {abs(t):.3g} exceeds the reliable radius {reliable_radius}; "
-            "truncation error estimates may be optimistic",
-            stacklevel=3,
-        )
-
-
-def tau(
-    t,
-    params: MonodromyParams,
-    method: str = "fredholm",
-    n_modes: int = 12,
-    trunc: SeriesTruncation = None,
-    reliable_radius: float = DEFAULT_RELIABLE_RADIUS,
-    force: bool = False,
-) -> TauValue:
-    """Normalized tau function at t by one of the three routes.
-
-    The error estimate is the change of the value at the next-larger
-    truncation (two more modes, or weight cutoff + 1).  That truncation
-    is built once; the value is read off its leading 2N x 2N blocks, or
-    off its terms of weight <= cutoff.
-    """
-    t = complex(t)
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    trunc = trunc or SeriesTruncation()
-    if method == "fredholm":
-        if n_modes < 1:
-            raise ValueError(f"n_modes must be >= 1, got {n_modes}")
-        meta = {"n_modes": n_modes}
-    else:
-        meta = {"weight_cutoff": trunc.weight_cutoff, "charge_cutoff": trunc.charge_cutoff}
-    if t == 0:
-        return TauValue(t=t, tau=1.0 + 0.0j, method=method, truncation=meta, est_error=0.0)
-    _check_radius(t, reliable_radius, force)
-
-    if method == "fredholm":
-        finer_modes = ModeMatrices.build(params, t, n_modes + 2)
-        size = 2 * n_modes
-        modes = ModeMatrices(finer_modes.a[:size, :size], finer_modes.d[:size, :size], n_modes, t)
-        val, finer = fredholm_det(modes), fredholm_det(finer_modes)
-    else:
-        finer_trunc = SeriesTruncation(trunc.weight_cutoff + 1, trunc.charge_cutoff)
-        values = [(w, c * t**e) for w, e, c in _series_terms(params, method, finer_trunc)]
-        val = complex_fsum(v for w, v in values if w <= trunc.weight_cutoff)
-        finer = complex_fsum(v for _, v in values)
-    return TauValue(t=t, tau=val, method=method, truncation=meta, est_error=abs(val - finer))
-
-
-# ---------------------------------------------------------------------------
-# Logarithmic derivatives
-
-
 def _theta_cumulants(b1, b2, b3, b4):
     """theta^k log det M, k = 1..4, from B_k = M^{-1} theta^k M.
 
@@ -156,33 +106,171 @@ def _theta_cumulants(b1, b2, b3, b4):
     )
 
 
-def _theta_log_tau(t, params, method, n_modes=12, trunc=None):
-    """(theta^1 .. theta^4) log tau_full at real t > 0, theta = t d/dt.
+def _sigma_form_defect(t, z, zp, zpp) -> float:
+    """|(t zeta'')^2 - 4 zeta'^2 (zeta - t zeta') + 4 zeta'|."""
+    return abs((t * zpp) ** 2 - 4 * zp**2 * (z - t * zp) + 4 * zp)
 
-    Fredholm: M = I - A D with theta^k D = E^k * D for the mode exponents
-    E, so B_k = -M^{-1} A (E^k * D).  Series: M is the 1 x 1 sum
-    S_0 = sum c t^e, and B_k = S_k / S_0 with S_k = sum c e^k t^e.
-    """
-    t = float(t)
-    if t <= 0:
-        raise ValueError("theta-derivatives require t > 0")
-    if method == "fredholm":
-        modes = ModeMatrices.build(params, t, n_modes)
-        exps = mode_exponents(params.nu, n_modes)
-        m = np.eye(2 * n_modes) - modes.a @ modes.d
+
+class _Determinant:
+    """Fredholm route: A and D(1) at n + 2 modes with the exponents E."""
+
+    def __init__(self, params: MonodromyParams, n: int):
+        self.n = n
+        self.a = mode_matrix_a(params, n + 2)
+        self.d1 = mode_matrix_d(params, 1.0, n + 2)
+        self.exps = mode_exponents(params.nu, n + 2)
+
+    def modes(self, t: complex):
+        """(leading, finer) mode blocks at t, D(t) = D(1) * t**E."""
+        finer = ModeMatrices(self.a, self.d1 * t**self.exps, self.n + 2, t)
+        return finer.leading(self.n), finer
+
+    def values(self, t: complex):
+        return tuple(fredholm_det(m) for m in self.modes(t))
+
+    def moments(self, t: complex):
+        """B_k = -M^{-1} A (E^k * D) with M = I - A D, since theta^k D = E^k * D."""
+        modes, _ = self.modes(t)
+        size = 2 * self.n
+        exps = self.exps[:size, :size]
+        m = np.eye(size) - modes.a @ modes.d
         rhs = np.hstack([modes.a @ (exps**k * modes.d) for k in range(1, 5)])
-        b = np.hsplit(-np.linalg.solve(m, rhs), 4)
-    elif method in ("maya", "nekrasov"):
-        records = _series_terms(params, method, trunc or SeriesTruncation())
-        terms = [(c * t**e, e) for _, e, c in records]
+        return np.hsplit(-np.linalg.solve(m, rhs), 4)
+
+
+class _Series:
+    """Series route: the (exponent, coefficient) records up to weight cutoff + 1."""
+
+    def __init__(self, records, cutoff: int):
+        self.coarse = [(e, c) for (_, w, e, c) in records if w <= cutoff]
+        self.extra = [(e, c) for (_, w, e, c) in records if w > cutoff]
+
+    def values(self, t: complex):
+        coarse = [c * t**e for e, c in self.coarse]
+        finer = coarse + [c * t**e for e, c in self.extra]
+        return complex_fsum(coarse), complex_fsum(finer)
+
+    def moments(self, t: complex):
+        """M is the 1 x 1 sum S_0 = sum c t^e; B_k = S_k / S_0, S_k = sum c e^k t^e."""
+        terms = [(c * t**e, e) for e, c in self.coarse]
         s0, *sk = (complex_fsum(x * e**k for x, e in terms) for k in range(5))
         if s0 == 0:
-            raise BesselTauError(f"tau vanishes at t = {t}; log-derivative undefined")
-        b = [np.array([[s / s0]]) for s in sk]
-    else:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    th1, th2, th3, th4 = _theta_cumulants(*b)
-    return th1 + params.nu**2, th2, th3, th4
+            raise BesselTauError(f"tau vanishes at t = {t.real}; log-derivative undefined")
+        return [np.array([[s / s0]]) for s in sk]
+
+
+class TauRoute:
+    """One route at one truncation, its t-independent structure built once.
+
+    The structure is built at the next-finer truncation (n_modes + 2, or
+    weight_cutoff + 1); values and log-derivatives are read off its
+    leading blocks, or its terms of weight <= weight_cutoff, and the rest
+    only supplies ``est_error``.  The method is dispatched here, once.
+    """
+
+    def __init__(
+        self,
+        params: MonodromyParams,
+        method: str = "fredholm",
+        n_modes: int = 12,
+        trunc: SeriesTruncation = None,
+    ):
+        if method not in METHODS:
+            raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+        self.params, self.method = params, method
+        trunc = trunc or SeriesTruncation()
+        if method == "fredholm":
+            if n_modes < 1:
+                raise ValueError(f"n_modes must be >= 1, got {n_modes}")
+            self.truncation = {"n_modes": n_modes}
+            self._structure = _Determinant(params, n_modes)
+        else:
+            w_max = trunc.weight_cutoff
+            self.truncation = {"weight_cutoff": w_max, "charge_cutoff": trunc.charge_cutoff}
+            build = tau_series_terms if method == "maya" else z_dual_terms
+            finer = SeriesTruncation(w_max + 1, trunc.charge_cutoff)
+            self._structure = _Series(build(params, finer), w_max)
+
+    def tau(self, t, force: bool = False) -> TauValue:
+        """Normalized tau at t, est_error the change to the finer truncation;
+        warns beyond |t| = DEFAULT_RELIABLE_RADIUS unless ``force``."""
+        t = complex(t)
+        if t == 0:
+            return TauValue(t, 1.0 + 0.0j, self.method, dict(self.truncation), 0.0)
+        if abs(t) > DEFAULT_RELIABLE_RADIUS and not force:
+            warnings.warn(
+                f"|t| = {abs(t):.3g} exceeds the reliable radius {DEFAULT_RELIABLE_RADIUS}; "
+                "truncation error estimates may be optimistic",
+                stacklevel=2,
+            )
+        val, finer = self._structure.values(t)
+        return TauValue(t, val, self.method, dict(self.truncation), abs(val - finer))
+
+    def theta_log_tau(self, t):
+        """(theta^1 .. theta^4) log tau_full at real t > 0, theta = t d/dt."""
+        t = float(t)
+        if t <= 0:
+            raise ValueError("theta-derivatives require t > 0")
+        th1, th2, th3, th4 = _theta_cumulants(*self._structure.moments(complex(t)))
+        return th1 + self.params.nu**2, th2, th3, th4
+
+    def zeta_derivatives(self, t):
+        """(zeta, zeta', zeta'', zeta''') at real positive t, exact for every route."""
+        th1, th2, th3, th4 = self.theta_log_tau(t)
+        t = float(t)
+        return th1, th2 / t, (th3 - th2) / t**2, (th4 - 3 * th3 + 2 * th2) / t**3
+
+    def ode_residual(self, t) -> float:
+        """Defect of the sigma-form: |(t zeta'')^2 - 4 zeta'^2 (zeta - t zeta') + 4 zeta'|."""
+        z, zp, zpp, _ = self.zeta_derivatives(t)
+        return _sigma_form_defect(float(t), z, zp, zpp)
+
+    def painleve_q(self, t):
+        """(q, residual) with q = -t zeta' and the degenerate-III defect.
+
+        residual = |q'' - q'^2/q + q'/t - 2 q^2/t^2 + 2/t|, derivatives in t.
+        """
+        _, th2, th3, th4 = self.theta_log_tau(t)
+        t = float(t)
+        q = -th2
+        qp = -th3 / t
+        qpp = (th3 - th4) / t**2
+        if q == 0:
+            raise BesselTauError(f"q(t) = 0 at t = {t}; equation residual undefined")
+        if abs(q) < 1e-8:
+            warnings.warn(f"|q(t)| = {abs(q):.2e} is near zero; residual ill-conditioned")
+        residual = abs(qpp - qp**2 / q + qp / t - 2 * q**2 / t**2 + 2 / t)
+        return q, residual
+
+    def sine_gordon_map(self, r) -> complex:
+        """Field u(r) with q(2^{-12} r^4) = -2^{-6} r^2 exp(i u(r)).
+
+        Principal logarithm; raises when q vanishes at the mapped time.
+        """
+        r = float(r)
+        if r <= 0:
+            raise ValueError("sine_gordon_map requires r > 0")
+        t = 2.0**-12 * r**4
+        q = -self.theta_log_tau(t)[1]
+        if q == 0:
+            raise BesselTauError(f"q = 0 at t = {t}; sine-Gordon field undefined")
+        return -1j * cmath.log(-(2.0**6) * q / r**2)
+
+
+# ---------------------------------------------------------------------------
+# Single-point wrappers
+
+
+def tau(
+    t,
+    params: MonodromyParams,
+    method: str = "fredholm",
+    n_modes: int = 12,
+    trunc: SeriesTruncation = None,
+    force: bool = False,
+) -> TauValue:
+    """Normalized tau function at t by one of the three routes (TauRoute.tau)."""
+    return TauRoute(params, method, n_modes, trunc).tau(t, force)
 
 
 def zeta_derivatives(
@@ -193,14 +281,7 @@ def zeta_derivatives(
     trunc: SeriesTruncation = None,
 ):
     """(zeta, zeta', zeta'', zeta''') at real positive t, exact for every route."""
-    th1, th2, th3, th4 = _theta_log_tau(t, params, method, n_modes, trunc)
-    t = float(t)
-    return (
-        th1,
-        th2 / t,
-        (th3 - th2) / t**2,
-        (th4 - 3 * th3 + 2 * th2) / t**3,
-    )
+    return TauRoute(params, method, n_modes, trunc).zeta_derivatives(t)
 
 
 def zeta(
@@ -211,12 +292,7 @@ def zeta(
     trunc: SeriesTruncation = None,
 ) -> complex:
     """zeta(t) = t d/dt log tau_full, prefactor t^{nu^2} included."""
-    return _theta_log_tau(t, params, method, n_modes, trunc)[0]
-
-
-def _sigma_form_defect(t, z, zp, zpp) -> float:
-    """|(t zeta'')^2 - 4 zeta'^2 (zeta - t zeta') + 4 zeta'|."""
-    return abs((t * zpp) ** 2 - 4 * zp**2 * (z - t * zp) + 4 * zp)
+    return TauRoute(params, method, n_modes, trunc).theta_log_tau(t)[0]
 
 
 def ode_residual(
@@ -227,8 +303,7 @@ def ode_residual(
     trunc: SeriesTruncation = None,
 ) -> float:
     """Defect of the sigma-form: |(t zeta'')^2 - 4 zeta'^2 (zeta - t zeta') + 4 zeta'|."""
-    z, zp, zpp, _ = zeta_derivatives(t, params, method, n_modes, trunc)
-    return _sigma_form_defect(float(t), z, zp, zpp)
+    return TauRoute(params, method, n_modes, trunc).ode_residual(t)
 
 
 def painleve_q(
@@ -238,21 +313,8 @@ def painleve_q(
     n_modes: int = 12,
     trunc: SeriesTruncation = None,
 ):
-    """(q, residual) with q = -t zeta' and the degenerate-III defect.
-
-    residual = |q'' - q'^2/q + q'/t - 2 q^2/t^2 + 2/t|, derivatives in t.
-    """
-    _, th2, th3, th4 = _theta_log_tau(t, params, method, n_modes, trunc)
-    t = float(t)
-    q = -th2
-    qp = -th3 / t
-    qpp = (th3 - th4) / t**2
-    if q == 0:
-        raise BesselTauError(f"q(t) = 0 at t = {t}; equation residual undefined")
-    if abs(q) < 1e-8:
-        warnings.warn(f"|q(t)| = {abs(q):.2e} is near zero; residual ill-conditioned")
-    residual = abs(qpp - qp**2 / q + qp / t - 2 * q**2 / t**2 + 2 / t)
-    return q, residual
+    """(q, residual) with q = -t zeta' and the degenerate-III defect (TauRoute.painleve_q)."""
+    return TauRoute(params, method, n_modes, trunc).painleve_q(t)
 
 
 # ---------------------------------------------------------------------------
@@ -265,18 +327,8 @@ def sine_gordon_map(
     method: str = "maya",
     trunc: SeriesTruncation = None,
 ) -> complex:
-    """Field u(r) with q(2^{-12} r^4) = -2^{-6} r^2 exp(i u(r)).
-
-    Principal logarithm; raises when q vanishes at the mapped time.
-    """
-    r = float(r)
-    if r <= 0:
-        raise ValueError("sine_gordon_map requires r > 0")
-    t = 2.0**-12 * r**4
-    q = -_theta_log_tau(t, params, method, trunc=trunc)[1]
-    if q == 0:
-        raise BesselTauError(f"q = 0 at t = {t}; sine-Gordon field undefined")
-    return -1j * cmath.log(-(2.0**6) * q / r**2)
+    """Field u(r) with q(2^{-12} r^4) = -2^{-6} r^2 exp(i u(r)) (TauRoute.sine_gordon_map)."""
+    return TauRoute(params, method, trunc=trunc).sine_gordon_map(r)
 
 
 def sine_gordon_residual(
@@ -289,9 +341,8 @@ def sine_gordon_residual(
     """Defect |u_rr + u_r / r + sin u| from a 5-point stencil in r."""
     r = float(r)
     h = h or max(1e-3, r / 200)
-    u = [
-        sine_gordon_map(r + k * h, params, method, trunc) for k in (-2, -1, 0, 1, 2)
-    ]
+    route = TauRoute(params, method, trunc=trunc)
+    u = [route.sine_gordon_map(r + k * h) for k in (-2, -1, 0, 1, 2)]
     ur = (u[0] - 8 * u[1] + 8 * u[3] - u[4]) / (12 * h)
     urr = (-u[0] + 16 * u[1] - 30 * u[2] + 16 * u[3] - u[4]) / (12 * h**2)
     return abs(urr + ur / r + cmath.sin(u[2]))
@@ -339,9 +390,6 @@ def cross_validate(
         ),
     }
     if check_modes:
-        from .kernel import kernel_a, mode_matrix_a, modes_by_quadrature
-        import numpy as np
-
         n_small = 4
         quad = modes_by_quadrature(
             lambda zp, z: kernel_a(params, zp, z), n_small, radius=1.0, block="a"

@@ -1,11 +1,41 @@
 """Tests for the command-line interface: config validation, formats, exit codes."""
 
+import importlib
 import json
+import sys
 
 import pytest
 from click.testing import CliRunner
 
 from besseltau.cli import CSV_HEADER, main
+from besseltau.monodromy import MonodromyParams
+from besseltau.nekrasov import SeriesTruncation
+from besseltau.tau import tau
+
+#: t-independent builds of the three routes, by defining module
+BUILDERS = {
+    "tau_series_terms": "besseltau.nekrasov",
+    "z_dual_terms": "besseltau.nekrasov",
+    "mode_matrix_a": "besseltau.kernel",
+    "mode_matrix_d": "besseltau.kernel",
+}
+
+
+def count_builds(monkeypatch):
+    """Count calls of every builder, wherever a besseltau module binds it."""
+    counts = dict.fromkeys(BUILDERS, 0)
+    mods = [m for n, m in sys.modules.items() if n.startswith("besseltau")]
+    for name, home in BUILDERS.items():
+        orig = getattr(importlib.import_module(home), name)
+
+        def counted(*args, _name=name, _orig=orig, **kwargs):
+            counts[_name] += 1
+            return _orig(*args, **kwargs)
+
+        for mod in mods:
+            if getattr(mod, name, None) is orig:
+                monkeypatch.setattr(mod, name, counted)
+    return counts
 
 
 @pytest.fixture
@@ -91,7 +121,7 @@ class TestValidation:
         def boom(*args, **kwargs):
             raise QuadratureConvergenceError("synthetic failure")
 
-        monkeypatch.setattr(cli_mod, "tau", boom)
+        monkeypatch.setattr(cli_mod, "TauRoute", boom)
         result = runner.invoke(main, ["tau"])
         assert result.exit_code == 3
         assert "numerical error" in result.output
@@ -151,6 +181,21 @@ class TestTauCommand:
         assert result.exit_code == 0
 
 
+class TestBuildOnce:
+    def test_tau_grid_builds_each_route_once(self, runner, tmp_path, monkeypatch):
+        cfg = _config(tmp_path, {"t_grid": {"start": 0.01, "stop": 0.2, "count": 5}})
+        counts = count_builds(monkeypatch)
+        result = runner.invoke(main, ["tau", "-c", cfg])
+        assert result.exit_code == 0, result.output
+        assert counts == dict.fromkeys(BUILDERS, 1)
+
+    def test_check_builds_maya_route_once(self, runner, monkeypatch):
+        counts = count_builds(monkeypatch)
+        result = runner.invoke(main, ["check"])
+        assert result.exit_code == 0, result.output
+        assert counts["tau_series_terms"] == 1
+
+
 class TestOtherSubcommands:
     def test_series_elementary_coefficients(self, runner, tmp_path):
         # nu = 1/4, eta = 0 degenerates to exp(-4 sqrt t): the t^{1/2}
@@ -187,6 +232,17 @@ class TestOtherSubcommands:
             if line.startswith("fredholm_N") and line.split(",")[4] != "nan"
         ]
         assert changes[-1] < 1e-10
+
+    def test_convergence_last_row_is_tau(self, runner, tmp_path):
+        cfg = _config(tmp_path, {"N_modes": 10, "weight_cutoff": 5})
+        result = runner.invoke(main, ["convergence", "-c", cfg])
+        assert result.exit_code == 0
+        rows = [line.split(",") for line in result.output.splitlines()]
+        last = [row for row in rows if row[0] == "maya_W"][-1]
+        assert last[1] == "5"
+        params = MonodromyParams(-0.13, 0.11)
+        expected = tau(0.05, params, "maya", trunc=SeriesTruncation(5, 2)).tau
+        assert complex(float(last[2]), float(last[3])) == expected
 
     def test_check_passes_on_defaults(self, runner):
         result = runner.invoke(main, ["check"])

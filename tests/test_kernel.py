@@ -23,6 +23,8 @@ from besseltau.kernel import (
     mode_matrix_a,
     mode_matrix_d,
     modes_by_quadrature,
+    psi_mode,
+    psibar_mode,
     rank_one_residual,
 )
 from besseltau.monodromy import MonodromyParams
@@ -71,6 +73,14 @@ class TestModeMatrices:
         assert a[0, 0] == pytest.approx(1 / (2 * nu), rel=1e-13)
         assert d[0, 0] == pytest.approx(-0.05 / (2 * nu), rel=1e-13)
 
+    def test_leading_blocks_are_the_smaller_build(self):
+        # the interleaved ordering keeps every smaller truncation a corner
+        lead = ModeMatrices.build(P_COMPLEX, 0.3, 8).leading(5)
+        small = ModeMatrices.build(P_COMPLEX, 0.3, 5)
+        assert lead.n == 5
+        np.testing.assert_array_equal(lead.a, small.a)
+        np.testing.assert_array_equal(lead.d, small.d)
+
     def test_d_vanishes_at_zero_time(self):
         d = mode_matrix_d(P_REAL, 0.0, 3)
         assert np.all(d == 0)
@@ -101,6 +111,41 @@ class TestModeMatrices:
         with pytest.raises(QuadratureConvergenceError):
             modes_by_quadrature(slow, 4, radius=1.0, block="a", samples=32)
 
+    @pytest.mark.parametrize("branch_sign", [None, {1: -1, -1: 1}])
+    def test_blocks_match_scalar_loop(self, branch_sign):
+        # entry by entry from the scalar mode functions; the broadcast
+        # products may round differently, by a few ulp
+        params, n = P_COMPLEX, 4
+        bs = branch_sign or {1: 1, -1: 1}
+        nu, sigma, eta = params.nu, params.sigma, params.eta
+        ms = mode_list(n)
+        a_ref = np.array(
+            [
+                [
+                    psi_mode(p, sp, nu, bs[sp])
+                    * psibar_mode(q, s, nu, bs[s])
+                    / (p + q + (s - sp) * nu)
+                    * np.exp(1j * np.pi * (2 * eta - sigma) * (s - sp))
+                    for p, sp in ms
+                ]
+                for q, s in ms
+            ]
+        )
+        d_ref = np.array(
+            [
+                [
+                    psi_mode(q, s, -nu, bs[s])
+                    * psibar_mode(p, sp, -nu, bs[sp])
+                    / (p + q + (s - sp) * nu)
+                    * np.exp(1j * np.pi * sigma * (s - sp))
+                    for q, s in ms
+                ]
+                for p, sp in ms
+            ]
+        )
+        np.testing.assert_allclose(mode_matrix_a(params, n, branch_sign), a_ref, rtol=4e-15)
+        np.testing.assert_allclose(mode_matrix_d(params, 1.0, n, branch_sign), d_ref, rtol=4e-15)
+
     def test_collision_detected(self):
         # nu within 1e-10 of an integer collides the momenta p + q = 2 nu
         # while staying numerically clear of the Gamma poles
@@ -108,6 +153,13 @@ class TestModeMatrices:
         fake = types.SimpleNamespace(nu=nu, sigma=nu - 0.5, eta=0.1)
         with pytest.raises(CauchyCollisionError):
             mode_matrix_a(fake, 2)
+
+    def test_collision_detected_in_d(self):
+        # the d-block shares the a-block's denominators p + q + (s - s') nu
+        nu = 1 + 2e-11
+        fake = types.SimpleNamespace(nu=nu, sigma=nu - 0.5, eta=0.1)
+        with pytest.raises(CauchyCollisionError):
+            mode_matrix_d(fake, 0.05, 2)
 
     @pytest.mark.parametrize("which", ["a", "d"])
     def test_rank_one_identity(self, which):

@@ -19,7 +19,7 @@ from besseltau.nekrasov import (
     z_inst,
     z_inst_coefficients,
 )
-from besseltau.partitions import EMPTY, YoungDiagram, hook
+from besseltau.partitions import EMPTY, YoungDiagram, arm, hook, leg, partitions_of
 
 # weight-2 instanton coefficients frozen from a 40-digit independent run
 W2_REAL = 18.69462911040480561  # nu = 0.37
@@ -49,6 +49,21 @@ class TestZBif:
         y = YoungDiagram((4, 2, 1))
         hooks = math.prod(hook(y, i, j) for i, j in y.boxes())
         assert z_bif(0, y, y) == pytest.approx((-1) ** y.weight * hooks**2, rel=1e-13)
+
+
+    def test_matches_arm_leg_oracle_exactly(self):
+        # the same integer factors in the same order as the box-by-box
+        # definition through arm and leg
+        nu = 0.37 - 0.05j
+        diagrams = [YoungDiagram(rows) for w in range(5) for rows in partitions_of(w)]
+        for yp in diagrams:
+            for ym in diagrams:
+                ref = 1.0 + 0.0j
+                for i, j in yp.boxes():
+                    ref *= nu + 1 + arm(yp, i, j) + leg(ym, i, j)
+                for i, j in ym.boxes():
+                    ref *= nu - 1 - arm(ym, i, j) - leg(yp, i, j)
+                assert z_bif(nu, yp, ym) == ref
 
 
 class TestZInst:

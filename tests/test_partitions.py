@@ -6,12 +6,9 @@ from hypothesis import strategies as st
 
 from besseltau.partitions import (
     EMPTY,
-    ChargedPair,
     MayaDiagram,
     YoungDiagram,
     arm,
-    charge,
-    enumerate_pairs,
     hook,
     leg,
     maya_from_young,
@@ -82,17 +79,11 @@ class TestMayaDiagram:
         # m+ = {5/2; holes at -3/2, -11/2}, m- = {9/2, 5/2; hole at -7/2}
         m_plus = MayaDiagram(frozenset({5}), frozenset({-3, -11}))
         m_minus = MayaDiagram(frozenset({9, 5}), frozenset({-7}))
-        assert charge(m_plus) == -1
-        assert charge(m_minus) == 1
-        ChargedPair(m_plus, m_minus)  # neutrality holds
-
-    def test_neutrality_enforced(self):
-        m = MayaDiagram(frozenset({1}), frozenset())
-        with pytest.raises(ValueError, match="zero"):
-            ChargedPair(m, m)
+        assert m_plus.charge == -1
+        assert m_minus.charge == 1
 
     def test_empty_charge(self):
-        assert charge(MayaDiagram(frozenset(), frozenset())) == 0
+        assert MayaDiagram(frozenset(), frozenset()).charge == 0
 
 
 class TestBijection:
@@ -150,21 +141,3 @@ class TestEnumeration:
         for rows in partitions_of(5):
             assert rows == tuple(sorted(rows, reverse=True))
         assert partitions_of(3) == tuple(sorted(partitions_of(3)))
-
-    def test_pair_count(self):
-        pairs = list(enumerate_pairs(2, 1))
-        # weights (0,0), (1,0), (0,1), (2,0), (1,1), (0,2) -> 1+1+1+2+1+2 = 8
-        # splits per charge, times 3 charges
-        assert len(pairs) == 8 * 3
-
-    def test_deterministic_order(self):
-        first = list(enumerate_pairs(2, 1))[:3]
-        assert [(a.rows, b.rows, q) for a, b, q in first] == [
-            ((), (), -1),
-            ((), (), 0),
-            ((), (), 1),
-        ]
-
-    def test_negative_cutoff_rejected(self):
-        with pytest.raises(ValueError):
-            list(enumerate_pairs(-1, 0))

@@ -10,6 +10,7 @@ from besseltau.monodromy import MonodromyParams
 from besseltau.nekrasov import SeriesTruncation, tau_series_maya
 from besseltau.tau import (
     METHODS,
+    TauRoute,
     TauValue,
     cross_validate,
     ode_residual,
@@ -127,6 +128,31 @@ class TestTau:
         assert tv.truncation == {"n_modes": 6}
         tv = tau(0.05, P_GENERIC, "nekrasov", trunc=TRUNC)
         assert tv.truncation == {"weight_cutoff": 6, "charge_cutoff": 2}
+
+
+class TestTauRoute:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_route_matches_single_point_calls(self, method):
+        route = TauRoute(P_GENERIC, method, n_modes=10, trunc=TRUNC)
+        for t in (0.0, 0.01, 0.05, 0.2 + 0.1j, 0.45):
+            assert route.tau(t) == tau(t, P_GENERIC, method, n_modes=10, trunc=TRUNC)
+        for t in (0.02, 0.3):
+            assert route.zeta_derivatives(t) == zeta_derivatives(
+                t, P_GENERIC, method, n_modes=10, trunc=TRUNC
+            )
+            assert route.theta_log_tau(t)[0] == zeta(t, P_GENERIC, method, n_modes=10, trunc=TRUNC)
+
+    def test_rejects_bad_route(self):
+        with pytest.raises(ValueError, match="unknown method"):
+            TauRoute(P_GENERIC, "lax")
+        with pytest.raises(ValueError, match="n_modes"):
+            TauRoute(P_GENERIC, "fredholm", n_modes=0)
+
+    def test_values_do_not_share_provenance(self):
+        route = TauRoute(P_GENERIC, "maya", trunc=TRUNC)
+        tv = route.tau(0.05)
+        tv.truncation["weight_cutoff"] = 99
+        assert route.tau(0.05).truncation["weight_cutoff"] == 6
 
 
 class TestZeta:
