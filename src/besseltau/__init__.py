@@ -27,7 +27,7 @@ from .kernel import (
     modes_by_quadrature,
     rank_one_residual,
 )
-from .monodromy import MonodromyParams, connection_matrix, m0, stokes_matrix
+from .monodromy import MonodromyParams
 from .nekrasov import (
     SeriesTruncation,
     check_lemma_identities,
@@ -77,9 +77,6 @@ __all__ = [
     "modes_by_quadrature",
     "rank_one_residual",
     "MonodromyParams",
-    "connection_matrix",
-    "m0",
-    "stokes_matrix",
     "SeriesTruncation",
     "check_lemma_identities",
     "quasi_periodicity_residual",

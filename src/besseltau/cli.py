@@ -26,19 +26,10 @@ from .kernel import (
     mode_matrix_a,
     mode_matrix_d,
     modes_by_quadrature,
-    rank_one_residual,
 )
 from .monodromy import MonodromyParams
-from .nekrasov import (
-    SeriesTruncation,
-    check_lemma_identities,
-    complex_fsum,
-    quasi_periodicity_residual,
-    tau_series_terms,
-    z_dual_terms,
-)
-from .partitions import YoungDiagram, maya_from_young, partitions_of, young_from_maya
-from .tau import METHODS, TauRoute, _sigma_form_defect
+from .nekrasov import SeriesTruncation, complex_fsum, tau_series_terms, z_dual_terms
+from .tau import METHODS, TauRoute, _sigma_form_defect, cross_validate
 
 CSV_HEADER = (
     "t_re,t_im,tau_fred_re,tau_fred_im,tau_maya_re,tau_maya_im,"
@@ -159,7 +150,8 @@ def _validate(cfg):
     q = _int_field(cfg["charge_cutoff"], "charge_cutoff")
     if w < 0 or q < 0:
         raise ConfigError(f"cutoffs must be >= 0, got weight {w}, charge {q}")
-    _real_field(cfg["tolerance"], "tolerance")
+    if _real_field(cfg["tolerance"], "tolerance") <= 0:
+        raise ConfigError(f"tolerance must be > 0, got {cfg['tolerance']!r}")
     if cfg["format"] not in ("csv", "json"):
         raise ConfigError(f"format must be 'csv' or 'json', got {cfg['format']!r}")
     return params, ts, methods, SeriesTruncation(w, q), n_modes
@@ -339,86 +331,23 @@ def convergence(config_path):
     _run_guarded(run)
 
 
-@main.command(help="Run the full invariant/identity suite with a pass/fail summary.")
+@main.command(help="Run the cross_validate check battery with a pass/fail summary.")
 @_CONFIG_OPT
 def check(config_path):
     def run():
         cfg = _load_config(config_path)
         params, ts, _, trunc, n_modes = _validate(cfg)
-        t = next((x for x in ts if x > 0), 0.05)
-        results = []
-
-        def record(name, value, tol):
-            results.append((name, value, tol, value < tol))
-
-        record("rank_one_a", rank_one_residual(params, 6, "a"), 1e-10)
-        record("rank_one_d", rank_one_residual(params, 6, "d"), 1e-10)
-
-        n = 4
-        quad = modes_by_quadrature(
-            lambda zp, z: kernel_a(params, zp, z), n, radius=1.0, block="a"
-        )
-        record(
-            "quadrature_modes_a",
-            float(np.max(np.abs(quad - mode_matrix_a(params, n)))),
-            1e-10,
-        )
-        quad = modes_by_quadrature(
-            lambda zp, z: kernel_d(params, t, zp, z), n, radius=1.0, block="d"
-        )
-        record(
-            "quadrature_modes_d",
-            float(np.max(np.abs(quad - mode_matrix_d(params, t, n)))),
-            1e-10,
-        )
-
-        lemmas = check_lemma_identities(params.nu, weight_cutoff=3, charge_cutoff=2)
-        record("maya_vs_box_weights", lemmas["maya_vs_box"], 1e-10)
-        record("cauchy_vs_inst_weights", lemmas["cauchy_vs_inst"], 1e-10)
-
-        routes = {m: TauRoute(params, m, n_modes, trunc) for m in METHODS}
-        vals = {m: route.tau(t, force=True).tau for m, route in routes.items()}
-        worst = max(
-            abs(vals[a] - vals[b]) / abs(vals[b])
-            for a in METHODS
-            for b in METHODS
-            if a < b
-        )
-        record("three_route_agreement", worst, float(cfg["tolerance"]))
-        record("sigma_form_ode", routes["maya"].ode_residual(t), 1e-6)
-        record(
-            "quasi_periodicity",
-            quasi_periodicity_residual(params, SeriesTruncation(4, trunc.charge_cutoff)),
-            1e-11,
-        )
-
-        shifted_eta = MonodromyParams(params.sigma, params.eta + 0.5)
-        t_eta = TauRoute(shifted_eta, "nekrasov", trunc=trunc).tau(t, force=True).tau
-        record(
-            "eta_half_periodicity",
-            abs(t_eta - vals["nekrasov"]) / abs(vals["nekrasov"]),
-            1e-13,
-        )
-
-        roundtrip = 0
-        for w in range(7):
-            for rows in partitions_of(w):
-                for q in range(-3, 4):
-                    y = YoungDiagram(rows)
-                    y2, q2 = young_from_maya(maya_from_young(y, q))
-                    if y2.rows != y.rows or q2 != q:
-                        roundtrip += 1
-        record("maya_young_roundtrip_failures", float(roundtrip), 1)
-
-        width = max(len(name) for name, *_ in results)
-        ok = True
-        for name, value, tol, passed in results:
-            ok = ok and passed
+        t = next((x for x in ts if x > 0), None)
+        if t is None:
+            raise ConfigError("check needs a t_grid point > 0")
+        rows = cross_validate(t, params, n_modes, trunc, cfg["tolerance"])
+        width = max(len(name) for name, *_ in rows)
+        for name, value, tol in rows:
             click.echo(
                 f"{name:<{width}}  {value:12.3e}  < {tol:.0e}  "
-                f"{'PASS' if passed else 'FAIL'}"
+                f"{'PASS' if value < tol else 'FAIL'}"
             )
-        if not ok:
+        if not all(value < tol for _, value, tol in rows):
             raise _Fail(3, "one or more checks failed")
         click.echo("all checks passed")
 

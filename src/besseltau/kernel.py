@@ -268,7 +268,6 @@ def modes_by_quadrature(kern, n: int, radius: float, block: str = "a", samples=N
         )
 
     out = np.empty((2 * n, 2 * n), dtype=complex)
-    colors = (1, -1)
     for r in range(n):
         for c in range(n):
             if block == "a":
@@ -277,14 +276,9 @@ def modes_by_quadrature(kern, n: int, radius: float, block: str = "a", samples=N
                 mzp, mz = -1 - c, -1 - r  # z'^{-1/2-q}, z^{-1/2-p}
             coef = modes[:, :, mzp % m, mz % m] * np.exp(-1j * np.pi * mzp / m)
             coef = coef / radius ** (mzp + mz)
-            for i, _ in enumerate(colors):
-                for j, _ in enumerate(colors):
-                    if block == "a":
-                        # kernel row s' (z'), column s (z) -> A[(q,s),(p,s')]
-                        out[2 * r + j, 2 * c + i] = coef[i, j]
-                    else:
-                        # kernel row s (z'), column s' (z) -> D[(p,s'),(q,s)]
-                        out[2 * r + j, 2 * c + i] = coef[i, j]
+            # kernel colors (row, column) land transposed in both layouts:
+            # A[(q,s),(p,s')] from row s', column s; D[(p,s'),(q,s)] from row s, column s'
+            out[2 * r : 2 * r + 2, 2 * c : 2 * c + 2] = coef.T
     return out
 
 

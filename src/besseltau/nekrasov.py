@@ -158,20 +158,20 @@ def quasi_periodicity_residual(params: MonodromyParams, trunc: SeriesTruncation)
     Shifting nu by 1 re-indexes the charge grading: after accounting for
     the t^{nu^2} prefactor, the charge-n coefficient at nu + 1 must equal
     exp(-4 pi i eta) / c_ratio(nu, 1) times the charge-(n+1) coefficient
-    at nu.  Returns the worst relative mismatch over matched truncations.
+    at nu.  Returns the worst relative mismatch over matched truncations,
+    or inf when nothing matches (charge cutoff 0), so the check can fail.
     """
     shifted = {
         (n, k): c for (n, k, _, c) in z_dual_terms(params.shifted(1), trunc)
     }
     base = {(n, k): c for (n, k, _, c) in z_dual_terms(params, trunc)}
     const = cmath.exp(-4j * cmath.pi * params.eta) / c_ratio(params.nu, 1)
-    worst = 0.0
-    for (n, k), c in shifted.items():
-        ref = base.get((n + 1, k))
-        if ref is None or ref == 0:
-            continue
-        worst = max(worst, abs(c - const * ref) / abs(const * ref))
-    return worst
+    mismatches = [
+        abs(c - const * ref) / abs(const * ref)
+        for (n, k), c in shifted.items()
+        if (ref := base.get((n + 1, k)))
+    ]
+    return max(mismatches, default=math.inf)
 
 
 # ---------------------------------------------------------------------------

@@ -19,14 +19,16 @@ B_k = M^{-1} theta^k M, with M = I - A D for the determinant and the
 Painleve III (D8) residuals then quantify how well each route
 satisfies the defining ODEs.
 
-Real positive t is assumed for derivatives; complex t is accepted for
-plain evaluation with principal branches throughout (branch continuity
-across arg t = pi is not tracked).
+Derivatives require real t > 0 and raise ValueError otherwise; complex
+t is accepted for plain evaluation with principal branches throughout
+(branch continuity across arg t = pi is not tracked).  ``cross_validate``
+is the one check battery: CLI ``check`` prints its rows.
 """
 
 import cmath
 import warnings
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -35,6 +37,7 @@ from .kernel import (
     ModeMatrices,
     fredholm_det,
     kernel_a,
+    kernel_d,
     mode_exponents,
     mode_matrix_a,
     mode_matrix_d,
@@ -50,6 +53,7 @@ from .nekrasov import (
     tau_series_terms,
     z_dual_terms,
 )
+from .partitions import YoungDiagram, maya_from_young, partitions_of, young_from_maya
 
 __all__ = [
     "METHODS",
@@ -104,6 +108,13 @@ def _theta_cumulants(b1, b2, b3, b4):
             b4 - 4 * b1 @ b3 - 3 * b2 @ b2 + 12 * b11 @ b2 - 6 * b11 @ b11,
         )
     )
+
+
+def _real_positive(x, message: str) -> float:
+    """x as a float; ValueError(message) unless x is real and > 0."""
+    if np.iscomplexobj(x) or not float(x) > 0:
+        raise ValueError(f"{message}, got {x!r}")
+    return float(x)
 
 
 def _sigma_form_defect(t, z, zp, zpp) -> float:
@@ -208,9 +219,7 @@ class TauRoute:
 
     def theta_log_tau(self, t):
         """(theta^1 .. theta^4) log tau_full at real t > 0, theta = t d/dt."""
-        t = float(t)
-        if t <= 0:
-            raise ValueError("theta-derivatives require t > 0")
+        t = _real_positive(t, "theta-derivatives require real t > 0")
         th1, th2, th3, th4 = _theta_cumulants(*self._structure.moments(complex(t)))
         return th1 + self.params.nu**2, th2, th3, th4
 
@@ -247,9 +256,7 @@ class TauRoute:
 
         Principal logarithm; raises when q vanishes at the mapped time.
         """
-        r = float(r)
-        if r <= 0:
-            raise ValueError("sine_gordon_map requires r > 0")
+        r = _real_positive(r, "sine_gordon_map requires real r > 0")
         t = 2.0**-12 * r**4
         q = -self.theta_log_tau(t)[1]
         if q == 0:
@@ -357,43 +364,52 @@ def cross_validate(
     params: MonodromyParams,
     n_modes: int = 12,
     trunc: SeriesTruncation = None,
-    check_modes: bool = True,
-) -> dict:
-    """Run all three routes at one t and every structural identity check.
+    tolerance: float = 1e-8,
+) -> list:
+    """The check battery at real t > 0: eleven (name, value, tol) rows.
 
-    Returns a report dict; nothing is asserted, failures simply show up
-    as large residuals (near-resonant parameters amplify them).
+    A check passes when value < tol.  The structural identities run at
+    fixed small sizes; the three routes must agree within ``tolerance``
+    at t, and the sigma-form ODE and the nu -> nu + 1, eta -> eta + 1/2
+    periodicities use the given truncation.  CLI ``check`` prints these
+    rows.  Near-resonant parameters amplify every residual.
     """
-    t = complex(t)
+    t = _real_positive(t, "cross_validate requires real t > 0")
     trunc = trunc or SeriesTruncation()
-    values = {
-        m: tau(t, params, m, n_modes=n_modes, trunc=trunc, force=True) for m in METHODS
-    }
-    pair_diffs = {}
-    for i, m1 in enumerate(METHODS):
-        for m2 in METHODS[i + 1 :]:
-            v1, v2 = values[m1].tau, values[m2].tau
-            scale = max(abs(v1), abs(v2), 1e-300)
-            pair_diffs[f"{m1}_vs_{m2}"] = abs(v1 - v2) / scale
-    report = {
-        "t": t,
-        "tau": {m: values[m].tau for m in METHODS},
-        "est_error": {m: values[m].est_error for m in METHODS},
-        "pairwise_rel_diff": pair_diffs,
-        "rank_one_residual": {
-            "a": rank_one_residual(params, 4, "a"),
-            "d": rank_one_residual(params, 4, "d"),
-        },
-        "lemma_identities": check_lemma_identities(params.nu, weight_cutoff=2, charge_cutoff=1),
-        "quasi_periodicity": quasi_periodicity_residual(
-            params, SeriesTruncation(min(trunc.weight_cutoff, 4), trunc.charge_cutoff)
+    n = 4
+    quad_a = modes_by_quadrature(lambda zp, z: kernel_a(params, zp, z), n, radius=1.0)
+    quad_d = modes_by_quadrature(
+        lambda zp, z: kernel_d(params, t, zp, z), n, radius=1.0, block="d"
+    )
+    lemmas = check_lemma_identities(params.nu, weight_cutoff=3, charge_cutoff=2)
+    routes = {m: TauRoute(params, m, n_modes, trunc) for m in METHODS}
+    vals = {m: route.tau(t, force=True).tau for m, route in routes.items()}
+    shifted_eta = MonodromyParams(params.sigma, params.eta + 0.5)
+    nek_eta = TauRoute(shifted_eta, "nekrasov", trunc=trunc).tau(t, force=True).tau
+    roundtrip = sum(
+        young_from_maya(maya_from_young(y, q)) != (y, q)
+        for w in range(7)
+        for y in map(YoungDiagram, partitions_of(w))
+        for q in range(-3, 4)
+    )
+    return [
+        ("rank_one_a", rank_one_residual(params, 6, "a"), 1e-10),
+        ("rank_one_d", rank_one_residual(params, 6, "d"), 1e-10),
+        ("quadrature_modes_a", float(np.max(np.abs(quad_a - mode_matrix_a(params, n)))), 1e-10),
+        ("quadrature_modes_d", float(np.max(np.abs(quad_d - mode_matrix_d(params, t, n)))), 1e-10),
+        ("maya_vs_box_weights", lemmas["maya_vs_box"], 1e-10),
+        ("cauchy_vs_inst_weights", lemmas["cauchy_vs_inst"], 1e-10),
+        (
+            "three_route_agreement",
+            max(abs(vals[a] - vals[b]) / abs(vals[b]) for a, b in combinations(METHODS, 2)),
+            float(tolerance),
         ),
-    }
-    if check_modes:
-        n_small = 4
-        quad = modes_by_quadrature(
-            lambda zp, z: kernel_a(params, zp, z), n_small, radius=1.0, block="a"
-        )
-        closed = mode_matrix_a(params, n_small)
-        report["quadrature_mode_diff"] = float(np.max(np.abs(quad - closed)))
-    return report
+        ("sigma_form_ode", routes["maya"].ode_residual(t), 1e-6),
+        (
+            "quasi_periodicity",
+            quasi_periodicity_residual(params, SeriesTruncation(4, trunc.charge_cutoff)),
+            1e-11,
+        ),
+        ("eta_half_periodicity", abs(nek_eta - vals["nekrasov"]) / abs(vals["nekrasov"]), 1e-13),
+        ("maya_young_roundtrip_failures", float(roundtrip), 1),
+    ]

@@ -10,7 +10,7 @@ from click.testing import CliRunner
 from besseltau.cli import CSV_HEADER, main
 from besseltau.monodromy import MonodromyParams
 from besseltau.nekrasov import SeriesTruncation
-from besseltau.tau import tau
+from besseltau.tau import cross_validate, tau
 
 #: t-independent builds of the three routes, by defining module
 BUILDERS = {
@@ -94,6 +94,8 @@ class TestValidation:
             '{"charge_cutoff": "two"}',
             '{"t_grid": {"start": 0.01, "stop": 0.05, "count": 2.5}}',
             '{"tolerance": "tight"}',
+            '{"tolerance": -1}',
+            '{"tolerance": 0}',
             '{"fd_step": 1e-3}',
         ],
     )
@@ -103,6 +105,18 @@ class TestValidation:
         result = runner.invoke(main, ["tau", "-c", str(path)])
         assert result.exit_code == 2, result.output
         assert "config error" in result.output
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            {"start": 0.0, "stop": 0.0, "count": 1},
+            {"start": -0.2, "stop": 0.0, "count": 3},
+        ],
+    )
+    def test_check_without_positive_t_exits_2(self, runner, tmp_path, grid):
+        result = runner.invoke(main, ["check", "-c", _config(tmp_path, {"t_grid": grid})])
+        assert result.exit_code == 2, result.output
+        assert "t_grid point > 0" in result.output
 
     def test_integral_float_accepted(self, runner, tmp_path):
         cfg = _config(tmp_path, {"method": "fredholm", "N_modes": 6.0})
@@ -243,6 +257,15 @@ class TestOtherSubcommands:
         params = MonodromyParams(-0.13, 0.11)
         expected = tau(0.05, params, "maya", trunc=SeriesTruncation(5, 2)).tau
         assert complex(float(last[2]), float(last[3])) == expected
+
+    def test_check_prints_cross_validate_rows(self, runner):
+        result = runner.invoke(main, ["check"])
+        assert result.exit_code == 0, result.output
+        rows = cross_validate(0.05, MonodromyParams(-0.13, 0.11), 12, SeriesTruncation(6, 2), 1e-8)
+        printed = [line.split() for line in result.output.splitlines()[:-1]]
+        assert [(name, value, tol) for name, value, _, tol, _ in printed] == [
+            (name, f"{value:.3e}", f"{tol:.0e}") for name, value, tol in rows
+        ]
 
     def test_check_passes_on_defaults(self, runner):
         result = runner.invoke(main, ["check"])

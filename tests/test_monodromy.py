@@ -1,26 +1,9 @@
-"""Unit tests for the Stokes-data parameterization."""
+"""Unit tests for the monodromy parameters and their lattice guard."""
 
-import cmath
-
-import numpy as np
 import pytest
 
 from besseltau.errors import DegenerateParameterError
-from besseltau.monodromy import (
-    PAULI_X,
-    MonodromyParams,
-    connection_matrix,
-    diagonalizer,
-    exp_formal_monodromy,
-    m0,
-    stokes_matrix,
-)
-
-GENERIC = [
-    MonodromyParams(-0.13, 0.11),
-    MonodromyParams(0.2 - 0.3j, 0.07 + 0.04j),
-    MonodromyParams(0.31, -0.4),
-]
+from besseltau.monodromy import MonodromyParams
 
 
 class TestParams:
@@ -44,47 +27,3 @@ class TestParams:
 
     def test_off_lattice_accepted(self):
         MonodromyParams(0.5 + 0.2j, 0.0)  # imaginary part moves off the lattice
-
-
-class TestMatrices:
-    @pytest.mark.parametrize("p", GENERIC)
-    def test_connection_unimodular(self, p):
-        assert np.linalg.det(connection_matrix(p)) == pytest.approx(1.0, abs=1e-12)
-
-    @pytest.mark.parametrize("p", GENERIC)
-    def test_monodromy_conjugation(self, p):
-        # S S^T = E S^T S E^{-1}
-        s = stokes_matrix(p)
-        e = connection_matrix(p)
-        lhs = s @ s.T
-        rhs = e @ s.T @ s @ np.linalg.inv(e)
-        np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
-    @pytest.mark.parametrize("p", GENERIC)
-    def test_connection_symmetry(self, p):
-        # sigma_x E sigma_x = S^{-1} E S^T
-        s = stokes_matrix(p)
-        e = connection_matrix(p)
-        lhs = PAULI_X @ e @ PAULI_X
-        rhs = np.linalg.inv(s) @ e @ s.T
-        np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
-    @pytest.mark.parametrize("p", GENERIC)
-    def test_m0_spectrum(self, p):
-        m = m0(p)
-        assert np.linalg.det(m) == pytest.approx(1.0, abs=1e-12)
-        assert np.trace(m) == pytest.approx(
-            -2 * cmath.cos(2 * cmath.pi * p.sigma), abs=1e-12
-        )
-
-    @pytest.mark.parametrize("p", GENERIC)
-    def test_diagonalizer(self, p):
-        u = diagonalizer(p)
-        conj = u @ m0(p) @ np.linalg.inv(u)
-        np.testing.assert_allclose(conj, exp_formal_monodromy(p), atol=1e-10)
-
-    def test_formal_monodromy_eigenvalues(self):
-        p = MonodromyParams(-0.13, 0.11)
-        d = exp_formal_monodromy(p)
-        assert d[0, 0] == pytest.approx(cmath.exp(2j * cmath.pi * p.nu))
-        assert d[0, 1] == 0

@@ -144,6 +144,10 @@ class TestSymmetries:
     def test_quasi_periodicity(self):
         assert quasi_periodicity_residual(P_GENERIC, SeriesTruncation(4, 2)) < 1e-12
 
+    def test_quasi_periodicity_fails_when_nothing_is_compared(self):
+        # charge cutoff 0 has no charge-1 coefficient to match the shifted charge 0 with
+        assert quasi_periodicity_residual(P_GENERIC, SeriesTruncation(4, 0)) == math.inf
+
     def test_eta_half_period(self):
         t, trunc = 0.05, SeriesTruncation(5, 2)
         shifted = MonodromyParams(P_GENERIC.sigma, P_GENERIC.eta + 0.5)

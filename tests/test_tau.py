@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from besseltau.kernel import ModeMatrices, fredholm_det
@@ -160,6 +161,16 @@ class TestZeta:
         with pytest.raises(ValueError):
             zeta(-0.1, P_GENERIC, "maya", trunc=TRUNC)
 
+    @pytest.mark.parametrize(
+        "t", [0.05 + 0.1j, np.complex128(0.05 + 0.1j)], ids=["complex", "complex128"]
+    )
+    def test_rejects_complex_t(self, t):
+        # a complex128 would otherwise be cut to its real part
+        with pytest.raises(ValueError, match="real t > 0"):
+            TauRoute(P_GENERIC, "maya", trunc=TRUNC).theta_log_tau(t)
+        with pytest.raises(ValueError, match="real t > 0"):
+            zeta(t, P_GENERIC, "maya", trunc=TRUNC)
+
     def test_elementary_solution(self):
         t = 0.05
         expected = 1 / 16 + 2 * math.sqrt(t)
@@ -249,6 +260,13 @@ class TestSineGordon:
         with pytest.raises(ValueError):
             sine_gordon_map(-1.0, P_GENERIC)
 
+    @pytest.mark.parametrize(
+        "r", [1.2 + 0.1j, np.complex128(1.2 + 0.1j)], ids=["complex", "complex128"]
+    )
+    def test_rejects_complex_radius(self, r):
+        with pytest.raises(ValueError, match="real r > 0"):
+            sine_gordon_map(r, P_GENERIC, trunc=TRUNC)
+
     def test_real_field_for_unimodular_ratio(self):
         # elementary eta = 0 solution: q real negative, modulus matched
         p = MonodromyParams.from_nu(0.25, 0.0)
@@ -266,15 +284,36 @@ class TestSineGordon:
 
 class TestCrossValidation:
     def test_report_contents(self):
-        report = cross_validate(0.05, P_GENERIC, n_modes=10, trunc=SeriesTruncation(5, 2))
-        assert set(report["tau"]) == set(METHODS)
-        assert max(report["pairwise_rel_diff"].values()) < 1e-8
-        assert report["rank_one_residual"]["a"] < 1e-12
-        assert report["lemma_identities"]["cauchy_vs_inst"] < 1e-12
-        assert report["quasi_periodicity"] < 1e-11
-        assert report["quadrature_mode_diff"] < 1e-12
+        rows = cross_validate(
+            0.05, P_GENERIC, n_modes=10, trunc=SeriesTruncation(5, 2), tolerance=1e-7
+        )
+        assert [name for name, _, _ in rows] == [
+            "rank_one_a",
+            "rank_one_d",
+            "quadrature_modes_a",
+            "quadrature_modes_d",
+            "maya_vs_box_weights",
+            "cauchy_vs_inst_weights",
+            "three_route_agreement",
+            "sigma_form_ode",
+            "quasi_periodicity",
+            "eta_half_periodicity",
+            "maya_young_roundtrip_failures",
+        ]
+        value = {name: v for name, v, _ in rows}
+        tol = {name: t for name, _, t in rows}
+        assert tol["three_route_agreement"] == 1e-7
+        assert value["three_route_agreement"] < 1e-8
+        assert value["rank_one_a"] < 1e-12
+        assert value["cauchy_vs_inst_weights"] < 1e-12
+        assert value["quasi_periodicity"] < 1e-11
+        assert value["quadrature_modes_a"] < 1e-12
 
-    def test_trivial_time(self):
-        report = cross_validate(0.0, P_GENERIC, trunc=SeriesTruncation(3, 1), check_modes=False)
-        assert all(v == 1 for v in report["tau"].values())
-        assert max(report["pairwise_rel_diff"].values()) == 0
+    @pytest.mark.parametrize(
+        "t",
+        [0.0, -0.05, 0.05 + 0.1j, np.complex128(0.05 + 0.1j)],
+        ids=["zero", "negative", "complex", "complex128"],
+    )
+    def test_rejects_nonpositive_or_complex_t(self, t):
+        with pytest.raises(ValueError, match="real t > 0"):
+            cross_validate(t, P_GENERIC)
