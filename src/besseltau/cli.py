@@ -2,9 +2,9 @@
 
 One JSON configuration document (file or standard input) drives every
 subcommand; flags exist only for selecting the config source.  Output is
-plot-ready CSV or versioned JSON, written with 17 significant digits and
-a fixed enumeration order so identical configs produce byte-identical
-files.
+plot-ready CSV or (``tau`` only) versioned JSON, with 17 significant
+digits and a fixed enumeration order so identical configs produce
+byte-identical files.
 
 Exit codes: 0 success, 2 configuration/validation error, 3 numerical
 error (pole, degeneracy, non-convergence).
@@ -108,8 +108,8 @@ def _complex_field(cfg, name) -> complex:
     return complex(_real_field(val[0], name), _real_field(val[1], name))
 
 
-def _validate(cfg):
-    """RunConfig -> (params, t values, methods, trunc) or ConfigError."""
+def _validate(cfg, command):
+    """RunConfig -> (params, t values, methods, trunc, n_modes) or ConfigError."""
     sigma = _complex_field(cfg, "sigma")
     eta = _complex_field(cfg, "eta")
     try:
@@ -154,6 +154,8 @@ def _validate(cfg):
         raise ConfigError(f"tolerance must be > 0, got {cfg['tolerance']!r}")
     if cfg["format"] not in ("csv", "json"):
         raise ConfigError(f"format must be 'csv' or 'json', got {cfg['format']!r}")
+    if cfg["format"] == "json" and command != "tau":
+        raise ConfigError(f"{command} has no JSON output; format 'json' is for tau only")
     return params, ts, methods, SeriesTruncation(w, q), n_modes
 
 
@@ -222,7 +224,7 @@ def main():
 def tau_cmd(config_path):
     def run():
         cfg = _load_config(config_path)
-        params, ts, methods, trunc, n_modes = _validate(cfg)
+        params, ts, methods, trunc, n_modes = _validate(cfg, "tau")
         routes = {m: TauRoute(params, m, n_modes, trunc) for m in methods}
         zroute = routes["maya" if "maya" in methods else methods[0]]
         col = {"fredholm": "tau_fred", "maya": "tau_maya", "nekrasov": "tau_nek"}
@@ -251,7 +253,7 @@ def tau_cmd(config_path):
 def series(config_path):
     def run():
         cfg = _load_config(config_path)
-        params, _, methods, trunc, _ = _validate(cfg)
+        params, _, methods, trunc, _ = _validate(cfg, "series")
         use_maya = methods == ["maya"]
         terms = (
             tau_series_terms(params, trunc)
@@ -274,7 +276,7 @@ def series(config_path):
 def modes(config_path):
     def run():
         cfg = _load_config(config_path)
-        params, ts, _, _, n_modes = _validate(cfg)
+        params, ts, _, _, n_modes = _validate(cfg, "modes")
         t = ts[0]
         n = min(n_modes, 8)
         a_closed = mode_matrix_a(params, n)
@@ -309,7 +311,7 @@ def modes(config_path):
 def convergence(config_path):
     def run():
         cfg = _load_config(config_path)
-        params, ts, _, trunc, n_modes = _validate(cfg)
+        params, ts, _, trunc, n_modes = _validate(cfg, "convergence")
         t = complex(ts[0])
         # one build each: leading blocks of the N build, partial sums of the W table
         full = ModeMatrices.build(params, t, n_modes)
@@ -336,7 +338,7 @@ def convergence(config_path):
 def check(config_path):
     def run():
         cfg = _load_config(config_path)
-        params, ts, _, trunc, n_modes = _validate(cfg)
+        params, ts, _, trunc, n_modes = _validate(cfg, "check")
         t = next((x for x in ts if x > 0), None)
         if t is None:
             raise ConfigError("check needs a t_grid point > 0")

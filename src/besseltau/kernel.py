@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CauchyCollisionError, QuadratureConvergenceError
-from .monodromy import PAULI_Y, MonodromyParams, check_off_lattice
+from .monodromy import MonodromyParams, check_off_lattice
 from .special import j_sigma, ln_gamma, pochhammer
 
 __all__ = [
@@ -45,8 +45,6 @@ __all__ = [
     "mode_exponents",
 ]
 
-_IDENT = np.eye(2, dtype=complex)
-
 #: relative closeness of z and z' below which the removable singularity
 #: at z = z' is evaluated by a symmetric finite difference
 _DIAGONAL_TOL = 1e-6
@@ -54,62 +52,64 @@ _DIAGONAL_STEP = 1e-5
 
 
 def bessel_kernel_J(sigma, zp, z) -> np.ndarray:
-    """The 2x2 matrix J_sigma(z', z); equals the identity at z' = z."""
+    """The 2x2 matrix J_sigma(z', z) in the last two axes, z' and z
+    broadcast; equals the identity at z' = z."""
     check_off_lattice(sigma)
-    sigma, zp, z = complex(sigma), complex(zp), complex(z)
+    sigma = complex(sigma)
+    shape = np.broadcast_shapes(np.shape(zp), np.shape(z))
+    # at least 1-d: a scalar call rounds exactly like an array call
+    zp, z = (np.atleast_1d(np.asarray(x, dtype=complex)) for x in (zp, z))
     pref = cmath.pi / cmath.sin(2 * cmath.pi * sigma)
-    jp = j_sigma(sigma + 0.5, z)
-    jm = j_sigma(-sigma, z)
-    js = j_sigma(sigma, z)
-    jms = j_sigma(-sigma - 0.5, z)
-    jp_p = j_sigma(sigma + 0.5, zp)
-    jm_p = j_sigma(-sigma, zp)
-    js_p = j_sigma(sigma, zp)
-    jms_p = j_sigma(-sigma - 0.5, zp)
-    return pref * np.array(
-        [
-            [zp * jp * jm_p - js * jms_p, 1j * zp * jms * jm_p - 1j * z * jm * jms_p],
-            [1j * jp * js_p - 1j * js * jp_p, z * jm * jp_p - jms * js_p],
-        ]
+    orders = (sigma + 0.5, -sigma, sigma, -sigma - 0.5)
+    jp, jm, js, jms = (j_sigma(o, z) for o in orders)
+    jp_p, jm_p, js_p, jms_p = (j_sigma(o, zp) for o in orders)
+    entries = np.broadcast_arrays(
+        zp * jp * jm_p - js * jms_p,
+        1j * zp * jms * jm_p - 1j * z * jm * jms_p,
+        1j * jp * js_p - 1j * js * jp_p,
+        z * jm * jp_p - jms * js_p,
     )
+    return (pref * np.stack(entries, axis=-1)).reshape(shape + (2, 2))
 
 
 def _j_core(sigma, zp, z) -> np.ndarray:
     """(J_sigma(z', z) - 1)/(z - z'), with the removable diagonal limit."""
-    scale = max(abs(z), abs(zp), 1.0)
-    if abs(z - zp) < _DIAGONAL_TOL * scale:
-        h = _DIAGONAL_STEP * scale
-        return (bessel_kernel_J(sigma, zp, z + h) - bessel_kernel_J(sigma, zp, z - h)) / (2 * h)
-    return (bessel_kernel_J(sigma, zp, z) - _IDENT) / (z - zp)
+    zp, z = np.asarray(zp, dtype=complex), np.asarray(z, dtype=complex)
+    diff = z - zp
+    scale = np.maximum(np.maximum(np.abs(z), np.abs(zp)), 1.0)
+    near = np.abs(diff) < _DIAGONAL_TOL * scale
+    core = (bessel_kernel_J(sigma, zp, z) - np.eye(2)) / np.where(near, 1, diff)[..., None, None]
+    if near.any():
+        zp_n, z_n = np.broadcast_to(zp, near.shape)[near], np.broadcast_to(z, near.shape)[near]
+        h = _DIAGONAL_STEP * scale[near]
+        step = bessel_kernel_J(sigma, zp_n, z_n + h) - bessel_kernel_J(sigma, zp_n, z_n - h)
+        core[near] = step / (2 * h)[:, None, None]
+    return core
 
 
 def kernel_a(params: MonodromyParams, zp, z) -> np.ndarray:
-    """Continuous a-kernel; entire in both arguments."""
+    """Continuous a-kernel; entire in both arguments.
+
+    diag(w, 1/w) J_core diag(1/w, w) with w = exp(i pi (sigma - 2 eta))."""
     s, e = params.sigma, params.eta
-    phase = cmath.exp(1j * cmath.pi * (s - 2 * e))
-    left = np.diag([phase, 1 / phase])
-    right = np.diag([1 / phase, phase])
-    return left @ _j_core(s, zp, z) @ right
+    w = cmath.exp(1j * cmath.pi * (s - 2 * e))
+    return _j_core(s, zp, z) * np.outer([w, 1 / w], [1 / w, w])
 
 
 def kernel_d(params: MonodromyParams, t, zp, z) -> np.ndarray:
-    """Continuous d-kernel; analytic in C* x C*, vanishes as t -> 0."""
-    zp, z, t = complex(zp), complex(z), complex(t)
-    if zp == 0 or z == 0:
+    """Continuous d-kernel; analytic in C* x C*, vanishes as t -> 0.
+
+    diag(w, 1/w) sigma_y C sigma_y diag(1/w, w) with w = t^nu exp(i pi sigma)
+    and C = (1 - J_sigma(t/z', t/z))/(z - z') = t/(z z') J_core(t/z', t/z);
+    sigma_y C sigma_y is the swap [[C11, -C10], [-C01, C00]]."""
+    zp, z, t = np.asarray(zp, dtype=complex), np.asarray(z, dtype=complex), complex(t)
+    if np.any(zp == 0) or np.any(z == 0):
         raise ValueError("kernel_d requires z, z' != 0")
     s, nu = params.sigma, params.nu
-    scale = max(abs(z), abs(zp))
-    if abs(z - zp) < _DIAGONAL_TOL * scale:
-        h = _DIAGONAL_STEP * scale
-        core = -(
-            bessel_kernel_J(s, t / zp, t / (z + h)) - bessel_kernel_J(s, t / zp, t / (z - h))
-        ) / (2 * h)
-    else:
-        core = (_IDENT - bessel_kernel_J(s, t / zp, t / z)) / (z - zp)
-    tw = t**nu * cmath.exp(1j * cmath.pi * s)
-    left = np.diag([tw, 1 / tw])
-    right = np.diag([1 / tw, tw])
-    return left @ PAULI_Y @ core @ PAULI_Y @ right
+    c = (t / (z * zp))[..., None, None] * _j_core(s, t / zp, t / z)
+    w = t**nu * cmath.exp(1j * cmath.pi * s)
+    # the swap reverses both axes; the signs of its off-diagonal ride on the phases
+    return c[..., ::-1, ::-1] * np.outer([w, -1 / w], [1 / w, -w])
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +238,10 @@ class ModeMatrices:
 def modes_by_quadrature(kern, n: int, radius: float, block: str = "a", samples=None) -> np.ndarray:
     """Extract mode matrices from circle samples of a continuous kernel.
 
-    ``kern`` is a callable (z', z) -> 2x2 array.  The z' grid is offset by
-    half a step so the removable diagonal z = z' is never sampled.  For
+    ``kern`` is a callable (z', z) -> 2x2 array that broadcasts: it is
+    called once, on a column of z' against a row of z, and must return
+    the 2x2 samples in its last two axes.  The z' grid is offset by half a
+    step so the removable diagonal z = z' is never sampled.  For
     block 'a' the coefficients of z'^{p-1/2} z^{q-1/2} are returned in the
     layout of mode_matrix_a; for 'd', the coefficients of
     z'^{-1/2-q} z^{-1/2-p} in the layout of mode_matrix_d.
@@ -253,15 +255,11 @@ def modes_by_quadrature(kern, n: int, radius: float, block: str = "a", samples=N
     theta = 2 * np.pi * np.arange(m) / m
     zp = radius * np.exp(1j * (theta + np.pi / m))
     z = radius * np.exp(1j * theta)
-    vals = np.empty((2, 2, m, m), dtype=complex)
-    for j in range(m):
-        for k in range(m):
-            vals[:, :, j, k] = kern(zp[j], z[k])
-    modes = np.fft.fft2(vals, axes=(2, 3)) / m**2
+    modes = np.fft.fft2(kern(zp[:, None], z[None, :]), axes=(0, 1)) / m**2
 
     top = np.max(np.abs(modes))
     nyq = m // 2
-    edge = max(np.max(np.abs(modes[:, :, nyq, :])), np.max(np.abs(modes[:, :, :, nyq])))
+    edge = max(np.max(np.abs(modes[nyq])), np.max(np.abs(modes[:, nyq])))
     if top > 0 and edge > 1e-10 * top:
         raise QuadratureConvergenceError(
             f"modes at Nyquist index {nyq} not below 1e-10 of peak ({edge / top:.2e})"
@@ -274,7 +272,7 @@ def modes_by_quadrature(kern, n: int, radius: float, block: str = "a", samples=N
                 mzp, mz = c, r  # z'^{p-1/2}, z^{q-1/2}
             else:
                 mzp, mz = -1 - c, -1 - r  # z'^{-1/2-q}, z^{-1/2-p}
-            coef = modes[:, :, mzp % m, mz % m] * np.exp(-1j * np.pi * mzp / m)
+            coef = modes[mzp % m, mz % m] * np.exp(-1j * np.pi * mzp / m)
             coef = coef / radius ** (mzp + mz)
             # kernel colors (row, column) land transposed in both layouts:
             # A[(q,s),(p,s')] from row s', column s; D[(p,s'),(q,s)] from row s, column s'

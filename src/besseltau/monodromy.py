@@ -3,19 +3,14 @@
 The pair (sigma, eta) parameterizes the Stokes data of the linear
 system; the tau function depends on it only through nu = sigma + 1/2
 and eta.  This module validates the pair (2*sigma must stay off the
-integer lattice, where the 1/sin(2 pi sigma) prefactors blow up) and
-holds the Pauli matrix sigma_y that the kernel module conjugates with.
+integer lattice, where the 1/sin(2 pi sigma) prefactors blow up).
 """
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import DegenerateParameterError
 
-__all__ = ["MonodromyParams", "check_off_lattice", "PAULI_Y"]
-
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+__all__ = ["MonodromyParams", "check_off_lattice"]
 
 #: minimal allowed distance of 2*sigma from the integer lattice
 LATTICE_TOL = 1e-8

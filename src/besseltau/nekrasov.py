@@ -192,6 +192,11 @@ def colored_positions(y_plus: YoungDiagram, y_minus: YoungDiagram, q: int):
     return tuple(out_p), tuple(out_h)
 
 
+def _gamma_quotient(nu, q: int) -> complex:
+    """(Gamma(1 + 2 nu) / Gamma(1 - 2 nu))^{2Q} through the principal log-Gammas."""
+    return cmath.exp(2 * q * (ln_gamma(1 + 2 * nu) - ln_gamma(1 - 2 * nu)))
+
+
 def xi_delta(nu, particles, holes, q: int):
     """The pair (Xi, Delta) weighting one Maya configuration.
 
@@ -208,8 +213,7 @@ def xi_delta(nu, particles, holes, q: int):
     for h, s in holes:
         m = int(h - 0.5)
         prod *= math.factorial(m) * pochhammer(2 * s * nu, m + 1)
-    gamma_quot = cmath.exp(2 * q * (ln_gamma(1 + 2 * nu) - ln_gamma(1 - 2 * nu)))
-    xi = (-1) ** q * gamma_quot / prod**2
+    xi = (-1) ** q * _gamma_quotient(nu, q) / prod**2
 
     def x(pos, s):
         return pos - s * nu
@@ -311,7 +315,8 @@ def check_lemma_identities(nu, weight_cutoff: int = 3, charge_cutoff: int = 2) -
     * ``maya_vs_box``: | |z_bif_tilde / (z_bif / upsilon)| - 1 | over
       charged pairs (the proportionality is a sign);
     * ``cauchy_vs_inst``: relative error of Xi Delta^2 against the closed
-      form in Gamma quotients, upsilon factors and four z_bif values;
+      form in Gamma quotients, upsilon factors and the instanton weight
+      at nu - Q (four z_bif values);
     * ``sign_rule``: True when sign(Xi Delta^2) = (-1)^Q holds for the
       supplied real nu in (0, 1/2).
     """
@@ -343,16 +348,8 @@ def check_lemma_identities(nu, weight_cutoff: int = 3, charge_cutoff: int = 2) -
                 ps, hs = colored_positions(yp, ym, q)
                 xi, delta = xi_delta(nu, ps, hs, q)
                 lhs = xi * delta**2
-                den = 1.0 + 0.0j
-                for s in (1, -1):
-                    for sp in (1, -1):
-                        y_sp = yp if sp == 1 else ym
-                        y_s = yp if s == 1 else ym
-                        den *= z_bif((q - nu) * (sp - s), y_sp, y_s)
-                gamma_quot = cmath.exp(
-                    2 * q * (ln_gamma(1 + 2 * nu) - ln_gamma(1 - 2 * nu))
-                )
-                rhs = gamma_quot * upsilon(2 * nu, -2 * q) * upsilon(-2 * nu, 2 * q) / den
+                rhs = _gamma_quotient(nu, q) * _hyper_weight(nu - q, yp, ym)
+                rhs *= upsilon(2 * nu, -2 * q) * upsilon(-2 * nu, 2 * q)
                 worst_closed = max(worst_closed, abs(lhs - rhs) / abs(rhs))
                 if real_case and (lhs.real > 0) != ((-1) ** q > 0):
                     sign_ok = False

@@ -1,17 +1,17 @@
 """Complex special functions used throughout the package.
 
-Everything here is scalar, pure and double precision: the complex
-log-Gamma (principal branch), Pochhammer symbols, the entire Bessel-type
-function
+Everything here is pure and double precision: the complex log-Gamma
+(principal branch), Pochhammer symbols, the entire Bessel-type function
 
     j_sigma(z) = sum_{k>=0} z^k / (k! * Gamma(2*sigma + 1 + k)),
 
-and ratios of the Barnes G-function reduced to finite Gamma products via
-G(z+1) = Gamma(z) G(z).
+evaluated elementwise over arrays, and ratios of the Barnes G-function
+reduced to finite Gamma products via G(z+1) = Gamma(z) G(z).
 """
 
 import cmath
 
+import numpy as np
 import scipy.special
 
 from .errors import PoleError
@@ -62,28 +62,31 @@ def pochhammer(alpha, k: int) -> complex:
     return out
 
 
-def j_sigma(sigma, z) -> complex:
-    """The entire function z^{-sigma} I_{2 sigma}(2 sqrt z).
+def j_sigma(sigma, z):
+    """The entire function z^{-sigma} I_{2 sigma}(2 sqrt z), elementwise in z.
 
-    Evaluated by its Taylor series, which converges superfactorially.
-    Requires 2*sigma + 1 away from the non-positive integers.
+    Evaluated by its Taylor series, which converges superfactorially; the
+    loop stops once the last two terms are below 1e-18 of the sum at every
+    entry.  A scalar z gives a scalar.  Requires 2*sigma + 1 away from the
+    non-positive integers.
     """
     sigma = complex(sigma)
-    z = complex(z)
     two_sigma_p1 = 2 * sigma + 1
     if _is_nonpositive_integer(two_sigma_p1):
         raise PoleError(f"j_sigma undefined: 2*sigma + 1 = {two_sigma_p1} is a Gamma pole")
-    term = cmath.exp(-ln_gamma(two_sigma_p1))
+    z = np.asarray(z, dtype=complex)
+    term = np.full(z.shape, cmath.exp(-ln_gamma(two_sigma_p1)))
     total = term
-    prev = abs(term)
+    prev = np.abs(term)
     for k in range(_J_SERIES_CAP):
         term = term * z / ((k + 1) * (two_sigma_p1 + k))
-        total += term
-        cur = abs(term)
-        if cur < 1e-18 * abs(total) and prev < 1e-18 * abs(total):
+        total = total + term
+        cur = np.abs(term)
+        small = 1e-18 * np.abs(total)
+        if np.all((cur < small) & (prev < small)):
             break
         prev = cur
-    return total
+    return total if total.ndim else complex(total)
 
 
 def barnes_g_ratio(z, n: int) -> complex:

@@ -343,16 +343,19 @@ def sine_gordon_residual(
     params: MonodromyParams,
     method: str = "maya",
     trunc: SeriesTruncation = None,
-    h: float = None,
 ) -> float:
-    """Defect |u_rr + u_r / r + sin u| from a 5-point stencil in r."""
-    r = float(r)
-    h = h or max(1e-3, r / 200)
-    route = TauRoute(params, method, trunc=trunc)
-    u = [route.sine_gordon_map(r + k * h) for k in (-2, -1, 0, 1, 2)]
-    ur = (u[0] - 8 * u[1] + 8 * u[3] - u[4]) / (12 * h)
-    urr = (-u[0] + 16 * u[1] - 30 * u[2] + 16 * u[3] - u[4]) / (12 * h**2)
-    return abs(urr + ur / r + cmath.sin(u[2]))
+    """Defect |u_rr + u_r / r + sin u|, exact from theta^k log tau at t = 2^{-12} r^4.
+
+    d/dr = (4/r) theta turns the left side into (16/r^2) theta^2 u +
+    sin u, with theta^2 u = -i theta^2 log q and q, theta q, theta^2 q =
+    -(theta^2, theta^3, theta^4) log tau; e^{iu} = -2^6 q / r^2."""
+    r = _real_positive(r, "sine_gordon_residual requires real r > 0")
+    _, th2, th3, th4 = TauRoute(params, method, trunc=trunc).theta_log_tau(2.0**-12 * r**4)
+    if th2 == 0:
+        raise BesselTauError(f"q = 0 at r = {r}; sine-Gordon field undefined")
+    exp_iu = 2.0**6 * th2 / r**2
+    theta2_u = -1j * (th4 / th2 - (th3 / th2) ** 2)
+    return abs(16 / r**2 * theta2_u + (exp_iu - 1 / exp_iu) / 2j)
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,12 @@ class TestValidation:
         assert result.exit_code == 2, result.output
         assert "t_grid point > 0" in result.output
 
+    @pytest.mark.parametrize("command", ["series", "modes", "convergence", "check"])
+    def test_json_format_only_for_tau(self, runner, tmp_path, command):
+        result = runner.invoke(main, [command, "-c", _config(tmp_path, {"format": "json"})])
+        assert result.exit_code == 2, result.output
+        assert f"config error: {command} has no JSON output" in result.output
+
     def test_integral_float_accepted(self, runner, tmp_path):
         cfg = _config(tmp_path, {"method": "fredholm", "N_modes": 6.0})
         assert runner.invoke(main, ["tau", "-c", cfg]).exit_code == 0

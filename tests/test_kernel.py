@@ -1,5 +1,6 @@
 """Unit tests for the kernel functions and their Fourier modes."""
 
+import cmath
 import types
 
 import numpy as np
@@ -28,9 +29,16 @@ from besseltau.kernel import (
     rank_one_residual,
 )
 from besseltau.monodromy import MonodromyParams
+from besseltau.nekrasov import colored_positions, xi_delta
+from besseltau.partitions import YoungDiagram, partitions_of
 
 P_REAL = MonodromyParams.from_nu(0.37, 0.11)
 P_COMPLEX = MonodromyParams(0.2 - 0.3j, 0.07 + 0.04j)
+
+# z' against z: off-diagonal pairs, exact diagonals (0.3, 2 - 0.5i) and
+# pairs 1e-9 apart, where the removable singularity is taken as a limit
+GRID_ZP = np.array([0.3, (0.4 + 0.1j) * (1 + 1e-9), -0.7 + 0.3j, 2.0 - 0.5j])
+GRID_Z = np.array([0.3, 0.4 + 0.1j, 0.9 - 0.2j, 2.0 - 0.5j])
 
 
 class TestKernelJ:
@@ -59,6 +67,24 @@ class TestKernelJ:
     def test_d_rejects_origin(self):
         with pytest.raises(ValueError):
             kernel_d(P_REAL, 0.05, 0.0, 1.0)
+        with pytest.raises(ValueError):
+            kernel_d(P_REAL, 0.05, np.array([1.0, 0.0]), 1.0)
+
+    @pytest.mark.parametrize(
+        "kern",
+        [
+            lambda zp, z: bessel_kernel_J(P_COMPLEX.sigma, zp, z),
+            lambda zp, z: kernel_a(P_COMPLEX, zp, z),
+            lambda zp, z: kernel_d(P_COMPLEX, 0.05, zp, z),
+        ],
+        ids=["J", "a", "d"],
+    )
+    def test_array_call_matches_scalar_calls(self, kern):
+        grid = kern(GRID_ZP[:, None], GRID_Z[None, :])
+        assert grid.shape == (4, 4, 2, 2)
+        assert kern(GRID_ZP[0], GRID_Z[0]).shape == (2, 2)
+        scalar = np.array([[kern(zp, z) for z in GRID_Z] for zp in GRID_ZP])
+        np.testing.assert_allclose(grid, scalar, rtol=1e-14, atol=0)
 
 
 class TestModeMatrices:
@@ -106,10 +132,23 @@ class TestModeMatrices:
         # a kernel with a pole just outside the unit circle decays too
         # slowly for the default sampling density
         def slow(zp, z):
-            return np.full((2, 2), 1 / (1.05 - z))
+            return np.ones((2, 2)) * (1 / (1.05 - z) + 0 * zp)[..., None, None]
 
         with pytest.raises(QuadratureConvergenceError):
             modes_by_quadrature(slow, 4, radius=1.0, block="a", samples=32)
+
+    @pytest.mark.parametrize("block", ["a", "d"])
+    def test_quadrature_calls_the_kernel_once(self, block):
+        calls = []
+
+        def counted(zp, z):
+            calls.append(np.broadcast_shapes(zp.shape, z.shape))
+            if block == "a":
+                return kernel_a(P_REAL, zp, z)
+            return kernel_d(P_REAL, 0.05, zp, z)
+
+        modes_by_quadrature(counted, 4, radius=1.0, block=block)
+        assert calls == [(64, 64)]
 
     @pytest.mark.parametrize("branch_sign", [None, {1: -1, -1: 1}])
     def test_blocks_match_scalar_loop(self, branch_sign):
@@ -188,6 +227,40 @@ class TestModeMatrices:
         np.testing.assert_allclose(mode_matrix_d(P_COMPLEX, t, 3), scaled, rtol=1e-14)
         # the equal-color entries carry the integer powers t^{p+q}
         assert mode_exponents(P_COMPLEX.nu, 2)[0, 0] == 1
+
+
+class TestPrincipalMinors:
+    @pytest.mark.parametrize("params", [P_REAL, P_COMPLEX], ids=["generic", "complex"])
+    def test_minors_are_the_maya_weights(self, params):
+        # det(I - A D(t)) expands into (-1)^k det A[H, P] det D(t)[P, H];
+        # the minor on the colored holes H and particles P of a charged pair
+        # is its Maya-series weight exp(-4 pi i eta Q) Xi Delta^2
+        w_max, q_max = 4, 2
+        n = w_max + q_max + 2
+        a, d1 = mode_matrix_a(params, n), mode_matrix_d(params, 1.0, n)
+
+        def index(pos, color):
+            return int(2 * (pos - 0.5)) + (0 if color == 1 else 1)
+
+        charged_pairs = [
+            (YoungDiagram(rows_plus), YoungDiagram(rows_minus), q)
+            for w in range(w_max + 1)
+            for w_plus in range(w + 1)
+            for rows_plus in partitions_of(w_plus)
+            for rows_minus in partitions_of(w - w_plus)
+            for q in range(-q_max, q_max + 1)
+        ]
+        for y_plus, y_minus, q in charged_pairs:
+            ps, hs = colored_positions(y_plus, y_minus, q)
+            cols, rows = [index(*x) for x in ps], [index(*x) for x in hs]
+            minor = (
+                (-1) ** len(cols)
+                * np.linalg.det(a[np.ix_(rows, cols)])
+                * np.linalg.det(d1[np.ix_(cols, rows)])
+            )
+            xi, delta = xi_delta(params.nu, ps, hs, q)
+            weight = cmath.exp(-4j * cmath.pi * params.eta * q) * xi * delta**2
+            assert minor == pytest.approx(weight, rel=1e-11, abs=0)
 
 
 class TestDeterminant:

@@ -1,4 +1,4 @@
-"""Unit tests for the scalar special functions.
+"""Unit tests for the special functions.
 
 Reference values were frozen from an independent arbitrary-precision
 computation (mpmath at 40 digits) and are hard-coded here so the test
@@ -8,6 +8,7 @@ suite does not depend on the oracle package at runtime.
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -96,6 +97,16 @@ class TestJSigma:
             j_sigma(-0.5, 1.0)  # 2 sigma + 1 = 0
         with pytest.raises(PoleError):
             j_sigma(-1.5, 1.0)
+
+    def test_array_matches_scalar_calls(self):
+        # one Taylor loop over the array runs until its slowest entry has
+        # converged; the extra terms are below rounding at every other one
+        sigma = 0.2 - 0.3j
+        z = np.array([[0.0, 0.3, 0.4 + 0.1j], [-0.7 + 0.3j, 2.0 - 0.5j, 25.0]])
+        vals = j_sigma(sigma, z)
+        assert vals.shape == z.shape
+        np.testing.assert_array_equal(vals, [[j_sigma(sigma, x) for x in row] for row in z])
+        assert type(j_sigma(sigma, 0.3)) is complex
 
     def test_derivative_recurrence(self):
         # d/dz j_sigma(z) = j_{sigma + 1/2}(z)

@@ -276,6 +276,19 @@ class TestSineGordon:
     def test_field_equation_residual(self):
         assert sine_gordon_residual(1.2, P_GENERIC, "maya", trunc=TRUNC_FINE) < 1e-4
 
+    def test_field_equation_residual_is_exact(self):
+        # t = 6^4 / 4096 = 0.32: the converged determinant satisfies the
+        # equation to rounding; a one-box series does not, so the check can fail
+        assert sine_gordon_residual(6.0, P_GENERIC, "fredholm") < 1e-12
+        assert sine_gordon_residual(6.0, P_GENERIC, "maya", trunc=SeriesTruncation(1, 1)) > 1e-3
+
+    @pytest.mark.parametrize(
+        "r", [1.2 + 0.5j, np.complex128(1.2 + 0.5j)], ids=["complex", "complex128"]
+    )
+    def test_residual_rejects_complex_radius(self, r):
+        with pytest.raises(ValueError, match="real r > 0"):
+            sine_gordon_residual(r, P_GENERIC, trunc=TRUNC)
+
     def test_fredholm_field_matches_series(self):
         u_fred = sine_gordon_map(1.2, P_GENERIC, "fredholm")
         u_maya = sine_gordon_map(1.2, P_GENERIC, "maya", trunc=TRUNC_FINE)
