@@ -20,8 +20,8 @@ from besseltau import (
     mode_matrix_a,
     mode_matrix_d,
     modes_by_quadrature,
-    tau_series_maya,
 )
+from besseltau.nekrasov import complex_fsum, tau_series_terms
 
 params = MonodromyParams.from_nu(0.37, 0.11)
 t = 0.05
@@ -50,9 +50,11 @@ for n in (2, 4, 6, 8, 10, 12):
 print()
 print("series refinement (Maya expansion, charge cutoff 2)")
 print(f"{'W':>4} {'partial sum':>36} {'change':>12}")
+# partial sums of one W = 8 table: the terms of weight <= w are the W = w series
+terms = [(w, c * complex(t) ** e) for (_, w, e, c) in tau_series_terms(params, SeriesTruncation(8, 2))]
 prev = None
 for w in range(9):
-    val = tau_series_maya(t, params, SeriesTruncation(w, 2))
+    val = complex_fsum(v for k, v in terms if k <= w)
     change = "" if prev is None else f"{abs(val - prev):12.3e}"
     print(f"{w:4d} {val.real:18.15f} {val.imag:+17.15f}j {change:>12}")
     prev = val

@@ -32,10 +32,7 @@ from .nekrasov import (
     SeriesTruncation,
     check_lemma_identities,
     quasi_periodicity_residual,
-    tau_series_maya,
     z_bif,
-    z_dual,
-    z_inst,
     z_inst_coefficients,
 )
 from .partitions import (
@@ -80,10 +77,7 @@ __all__ = [
     "SeriesTruncation",
     "check_lemma_identities",
     "quasi_periodicity_residual",
-    "tau_series_maya",
     "z_bif",
-    "z_dual",
-    "z_inst",
     "z_inst_coefficients",
     "MayaDiagram",
     "YoungDiagram",

@@ -278,6 +278,8 @@ def modes(config_path):
         cfg = _load_config(config_path)
         params, ts, _, _, n_modes = _validate(cfg, "modes")
         t = ts[0]
+        if t == 0:
+            raise ConfigError("modes needs t_grid.start != 0; the d-kernel is undefined at t = 0")
         n = min(n_modes, 8)
         a_closed = mode_matrix_a(params, n)
         d_closed = mode_matrix_d(params, t, n)

@@ -97,14 +97,15 @@ def kernel_a(params: MonodromyParams, zp, z) -> np.ndarray:
 
 
 def kernel_d(params: MonodromyParams, t, zp, z) -> np.ndarray:
-    """Continuous d-kernel; analytic in C* x C*, vanishes as t -> 0.
+    """Continuous d-kernel; analytic in C* x C*, vanishes as t -> 0 but
+    raises ValueError at t = 0, where w = t^nu has no inverse.
 
     diag(w, 1/w) sigma_y C sigma_y diag(1/w, w) with w = t^nu exp(i pi sigma)
     and C = (1 - J_sigma(t/z', t/z))/(z - z') = t/(z z') J_core(t/z', t/z);
     sigma_y C sigma_y is the swap [[C11, -C10], [-C01, C00]]."""
     zp, z, t = np.asarray(zp, dtype=complex), np.asarray(z, dtype=complex), complex(t)
-    if np.any(zp == 0) or np.any(z == 0):
-        raise ValueError("kernel_d requires z, z' != 0")
+    if t == 0 or np.any(zp == 0) or np.any(z == 0):
+        raise ValueError("kernel_d requires t, z, z' != 0")
     s, nu = params.sigma, params.nu
     c = (t / (z * zp))[..., None, None] * _j_core(s, t / zp, t / z)
     w = t**nu * cmath.exp(1j * cmath.pi * s)

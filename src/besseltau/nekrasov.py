@@ -1,41 +1,44 @@
-"""Combinatorial series: instanton sums, dual sums, and the Maya expansion.
+"""Combinatorial series: the charge-graded instanton sum and the Maya expansion.
 
-Three layers, all sharing the truncation (weight_cutoff, charge_cutoff):
+Both routes sum over pairs (Y+, Y-) of Young diagrams, and every factor
+of a pair's weight is linear in nu: a + b nu, a and b integers.  Three layers:
 
-* ``z_inst`` — the pure instanton sum over pairs of Young diagrams with
-  bifundamental-type weights ``z_bif``;
-* ``z_dual`` — the charge-graded sum of instanton sums at shifted
-  parameter, with Barnes-quotient structure constants ``c_ratio``;
-* ``tau_series_*`` — the same object organized as a sum over pairs of
-  Maya diagrams, with explicit Cauchy-determinant weights Xi * Delta^2.
+* structure, free of t and of the parameters: ``_pairs(w)`` enumerates the
+  pairs of weight w as row tuples, and an integer (a, b) table per weight
+  holds each pair's factors of prod_{s, s'} z_bif(nu (s - s') | Y^{s'}, Y^s)
+  (``_instanton_table``) or, per charge, of Xi * Delta^2 read off the Maya
+  positions of the profile walk (``_maya_table``);
+* coefficients in nu and eta: ``_linear_product`` evaluates prod(a + b nu)
+  of a table, each instanton table at nu + n for every charge n; only the
+  Gamma quotients, ``c_ratio`` and the eta phase are not linear in nu, and
+  each layer's pair weights are summed exactly with ``complex_fsum``;
+* evaluation in t: the term records (charge, weight, exponent, coeff) give
+  the normalized tau function sum coeff * t^exponent (vacuum coefficient 1,
+  the prefactor t^{nu^2} applied downstream), which ``tau.TauRoute`` sums.
 
-Both expansions are normalized so the leading (vacuum) coefficient is 1;
-the overall prefactor t^{nu^2} is applied downstream.  Exponents of t are
-kept symbolic as (q, nu)-affine data in the term records so that
-derivatives in t can be taken analytically.
+The scalar ``z_bif`` and ``z_bif_tilde`` are the box-by-box and Maya-position
+references that ``check_lemma_identities`` compares.
 """
 
 import cmath
 import math
+from array import array
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DegenerateParameterError
 from .monodromy import MonodromyParams
-from .partitions import YoungDiagram, maya_from_young, partitions_of
+from .partitions import YoungDiagram, _conjugate, _profile, partitions_of
 from .special import barnes_g_ratio, ln_gamma, pochhammer, upsilon
 
 __all__ = [
     "SeriesTruncation",
     "z_bif",
     "z_inst_coefficients",
-    "z_inst",
     "c_ratio",
     "z_dual_terms",
-    "z_dual",
-    "colored_positions",
-    "xi_delta",
     "tau_series_terms",
-    "tau_series_maya",
     "z_bif_tilde",
     "check_lemma_identities",
     "quasi_periodicity_residual",
@@ -82,17 +85,132 @@ def z_bif(nu, y_plus: YoungDiagram, y_minus: YoungDiagram) -> complex:
     return out
 
 
-def _hyper_weight(nu, y_plus, y_minus) -> complex:
-    """1 / prod_{s, s'} z_bif(nu (s - s') | Y^{s'}, Y^s)."""
-    den = 1.0 + 0.0j
-    for s in (1, -1):
-        for sp in (1, -1):
-            y_sp = y_plus if sp == 1 else y_minus
-            y_s = y_plus if s == 1 else y_minus
-            den *= z_bif(nu * (s - sp), y_sp, y_s)
-    if den == 0:
-        raise DegenerateParameterError(f"vanishing instanton denominator at nu = {nu}")
-    return 1 / den
+# ---------------------------------------------------------------------------
+# Structure: one pair enumeration, integer (a, b) factor tables, one evaluator
+
+
+def _pairs(w: int):
+    """Pairs (rows_plus, rows_minus) of partitions of total weight w, in a fixed order."""
+    for w_plus in range(w + 1):
+        for rows_plus in partitions_of(w_plus):
+            for rows_minus in partitions_of(w - w_plus):
+                yield rows_plus, rows_minus
+
+
+def _table(rows) -> tuple:
+    """Rows of (a, b) integer lists -> two int16 arrays, padded with the
+    neutral factor (1, 0).  The rows are consumed one at a time into flat
+    arrays, so no layer is ever held as Python lists."""
+    flat_a, flat_b, lengths = array("h"), array("h"), []
+    for a, b in rows:
+        flat_a.extend(a)
+        flat_b.extend(b)
+        lengths.append(len(a))
+    lengths = np.array(lengths)
+    filled = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    a_arr, b_arr = np.ones(filled.shape, dtype=np.int16), np.zeros(filled.shape, dtype=np.int16)
+    a_arr[filled], b_arr[filled] = np.frombuffer(flat_a, np.int16), np.frombuffer(flat_b, np.int16)
+    return a_arr, b_arr
+
+
+def _linear_product(table, nu) -> np.ndarray:
+    """prod(a + b nu) over each row of an integer (a, b) factor table.
+
+    No series factor vanishes off the lattice 2 nu in Z, so a zero product
+    raises DegenerateParameterError.
+    """
+    a, b = table
+    x = b * complex(nu)
+    x += a
+    out = np.prod(x, axis=-1)
+    if not out.all():
+        raise DegenerateParameterError(f"vanishing series factor at nu = {nu}")
+    return out
+
+
+def _instanton_table(w: int) -> tuple:
+    """Factors of prod_{s, s'} z_bif(nu (s - s') | Y^{s'}, Y^s) for each pair of weight w.
+
+    z_bif(b nu | X, Y) has one factor b nu + 1 + arm_X + leg_Y per box of X
+    and one b nu - 1 - arm_Y - leg_X per box of Y, with the extended arm
+    X_i - j and leg X'_j - i; so every pair has 4w factors, b in {0, 2, -2}.
+    """
+    # column lengths, zero-padded so that every column index j <= w is valid
+    cols = {rows: _conjugate(rows) + (0,) * w for k in range(w + 1) for rows in partitions_of(k)}
+
+    def offsets(x, y):
+        cx, cy = cols[x], cols[y]
+        return [1 + r - j + cy[j - 1] - i for i, r in enumerate(x, 1) for j in range(1, r + 1)] + [
+            -1 - (r - j) - (cx[j - 1] - i) for i, r in enumerate(y, 1) for j in range(1, r + 1)
+        ]
+
+    return _table(
+        (
+            offsets(yp, yp) + offsets(ym, yp) + offsets(yp, ym) + offsets(ym, ym),
+            [0] * (2 * sum(yp)) + [2] * w + [-2] * w + [0] * (2 * sum(ym)),
+        )
+        for yp, ym in _pairs(w)
+    )
+
+
+def _instanton_weights(table, nu) -> np.ndarray:
+    """1 / prod_{s, s'} z_bif(nu (s - s') | Y^{s'}, Y^s) for each pair of the table."""
+    return 1 / _linear_product(table, nu)
+
+
+def _maya_table(w: int, q: int) -> tuple:
+    """Factors of Xi Delta^2 for each pair of weight w at charge Q: rows 2i
+    and 2i + 1 hold the numerator and the denominator of pair i.
+
+    Y+ sits at charge Q and Y- at -Q; their particles p > 0 and holes h < 0
+    carry the color s = +-1 and the momentum x = p - s nu.  The numerator
+    holds the Cauchy differences among the particles and among the holes;
+    the denominator those of particles against holes, with m! (1 - 2 s nu)_m
+    per particle (m = p - 1/2) and m! (2 s nu)_{m+1} per hole (m = |h| - 1/2).
+    Then Xi Delta^2 = (-1)^Q (Gamma(1 + 2 nu) / Gamma(1 - 2 nu))^{2Q} (num / den)^2.
+    Positions are doubled, so every difference (x - x')/2 is an integer.
+    """
+
+    def rows():
+        for yp, ym in _pairs(w):
+            (pp, hp), (pm, hm) = _profile(yp, q), _profile(ym, -q)
+            ps, pc = pp + pm, (1,) * len(pp) + (-1,) * len(pm)
+            hs, hc = hp + hm, (1,) * len(hp) + (-1,) * len(hm)
+            num_a, num_b = [], []
+            for xs, cs in ((ps, pc), (hs, hc)):
+                num_a += [(x - y) // 2 for i, x in enumerate(xs) for y in xs[i + 1 :]]
+                num_b += [t - s for i, s in enumerate(cs) for t in cs[i + 1 :]]
+            yield num_a, num_b
+            den_a = [(p - h) // 2 for p in ps for h in hs]
+            den_b = [t - s for s in pc for t in hc]
+            for p, s in zip(ps, pc):
+                m = (p - 1) // 2
+                den_a += [*range(1, m + 1), *range(1, m + 1)]
+                den_b += [0] * m + [-2 * s] * m
+            for h, s in zip(hs, hc):
+                m = (-h - 1) // 2
+                den_a += [*range(1, m + 1), *range(m + 1)]
+                den_b += [0] * m + [2 * s] * (m + 1)
+            yield den_a, den_b
+
+    return _table(rows())
+
+
+def _maya_weights(nu, w: int, q: int) -> np.ndarray:
+    """Xi Delta^2 for each pair of weight w at charge Q, in ``_pairs`` order."""
+    a, b = _maya_table(w, q)
+    # one half of the table at a time keeps one complex temporary alive
+    num, den = (_linear_product((a[k::2], b[k::2]), nu) for k in (0, 1))
+    return (-1) ** q * _gamma_quotient(nu, q) * (num / den) ** 2
+
+
+def _gamma_quotient(nu, q: int) -> complex:
+    """(Gamma(1 + 2 nu) / Gamma(1 - 2 nu))^{2Q} through the principal log-Gammas."""
+    return cmath.exp(2 * q * (ln_gamma(1 + 2 * nu) - ln_gamma(1 - 2 * nu)))
+
+
+# ---------------------------------------------------------------------------
+# Coefficients: the instanton sum and its charge-graded dual
 
 
 def z_inst_coefficients(nu, weight_cutoff: int) -> dict:
@@ -100,23 +218,10 @@ def z_inst_coefficients(nu, weight_cutoff: int) -> dict:
 
     c_0 = 1 and c_1 = 1/(2 nu^2); each c_k is a rational function of nu.
     """
-    nu = complex(nu)
-    coeffs = {}
-    for w in range(weight_cutoff + 1):
-        coeffs[w] = complex_fsum(
-            _hyper_weight(nu, YoungDiagram(rows_plus), YoungDiagram(rows_minus))
-            for w_plus in range(w + 1)
-            for rows_plus in partitions_of(w_plus)
-            for rows_minus in partitions_of(w - w_plus)
-        )
-    return coeffs
-
-
-def z_inst(t, nu, trunc: SeriesTruncation) -> complex:
-    """Instanton sum sum_k c_k(nu) t^k truncated at the weight cutoff."""
-    t = complex(t)
-    coeffs = z_inst_coefficients(nu, trunc.weight_cutoff)
-    return complex_fsum(coeffs[k] * t**k for k in sorted(coeffs))
+    return {
+        w: complex_fsum(_instanton_weights(_instanton_table(w), nu))
+        for w in range(weight_cutoff + 1)
+    }
 
 
 def c_ratio(nu, n: int) -> complex:
@@ -134,22 +239,18 @@ def z_dual_terms(params: MonodromyParams, trunc: SeriesTruncation):
 
     Each record is (n, k, exponent, coeff) with exponent = n^2 + 2 n nu + k
     and coeff = exp(4 pi i n eta) c_ratio(nu, n) c_k(nu + n), so that the
-    (normalized) sum is sum coeff * t^exponent.
+    (normalized) sum is sum coeff * t^exponent.  The instanton table of
+    each weight is built once and evaluated at nu + n for every charge.
     """
     nu, eta = params.nu, params.eta
+    tables = [_instanton_table(k) for k in range(trunc.weight_cutoff + 1)]
     terms = []
     for n in range(-trunc.charge_cutoff, trunc.charge_cutoff + 1):
         pref = cmath.exp(4j * cmath.pi * n * eta) * c_ratio(nu, n)
-        coeffs = z_inst_coefficients(nu + n, trunc.weight_cutoff)
-        for k in sorted(coeffs):
-            terms.append((n, k, n * n + 2 * n * nu + k, pref * coeffs[k]))
+        for k, table in enumerate(tables):
+            c_k = complex_fsum(_instanton_weights(table, nu + n))
+            terms.append((n, k, n * n + 2 * n * nu + k, pref * c_k))
     return terms
-
-
-def z_dual(t, params: MonodromyParams, trunc: SeriesTruncation) -> complex:
-    """Dual sum over charges; equals the normalized tau function t^{-nu^2} tau."""
-    t = complex(t)
-    return complex_fsum(c * t**e for (_, _, e, c) in z_dual_terms(params, trunc))
 
 
 def quasi_periodicity_residual(params: MonodromyParams, trunc: SeriesTruncation) -> float:
@@ -161,9 +262,7 @@ def quasi_periodicity_residual(params: MonodromyParams, trunc: SeriesTruncation)
     at nu.  Returns the worst relative mismatch over matched truncations,
     or inf when nothing matches (charge cutoff 0), so the check can fail.
     """
-    shifted = {
-        (n, k): c for (n, k, _, c) in z_dual_terms(params.shifted(1), trunc)
-    }
+    shifted = {(n, k): c for (n, k, _, c) in z_dual_terms(params.shifted(1), trunc)}
     base = {(n, k): c for (n, k, _, c) in z_dual_terms(params, trunc)}
     const = cmath.exp(-4j * cmath.pi * params.eta) / c_ratio(params.nu, 1)
     mismatches = [
@@ -178,60 +277,6 @@ def quasi_periodicity_residual(params: MonodromyParams, trunc: SeriesTruncation)
 # Maya expansion
 
 
-def colored_positions(y_plus: YoungDiagram, y_minus: YoungDiagram, q: int):
-    """Colored particle/hole sets of the Maya pair (Y+ at charge Q, Y- at -Q).
-
-    Returns (particles, holes): tuples of (position, color) with positions
-    positive half-integers (holes record |position|), colors +-1.
-    """
-    out_p, out_h = [], []
-    for y, qq, s in ((y_plus, q, 1), (y_minus, -q, -1)):
-        m = maya_from_young(y, qq)
-        out_p.extend((pd / 2, s) for pd in sorted(m.particles))
-        out_h.extend((-hd / 2, s) for hd in sorted(m.holes))
-    return tuple(out_p), tuple(out_h)
-
-
-def _gamma_quotient(nu, q: int) -> complex:
-    """(Gamma(1 + 2 nu) / Gamma(1 - 2 nu))^{2Q} through the principal log-Gammas."""
-    return cmath.exp(2 * q * (ln_gamma(1 + 2 * nu) - ln_gamma(1 - 2 * nu)))
-
-
-def xi_delta(nu, particles, holes, q: int):
-    """The pair (Xi, Delta) weighting one Maya configuration.
-
-    Xi collects factorials, Pochhammer symbols and the Gamma-quotient
-    raised to 2Q; Delta is the Cauchy ratio in the shifted momenta
-    x_{p;s} = p - s nu.  The series weight of the configuration is
-    Xi * Delta^2.
-    """
-    nu = complex(nu)
-    prod = 1.0 + 0.0j
-    for p, sp in particles:
-        m = int(p - 0.5)
-        prod *= math.factorial(m) * pochhammer(1 - 2 * sp * nu, m)
-    for h, s in holes:
-        m = int(h - 0.5)
-        prod *= math.factorial(m) * pochhammer(2 * s * nu, m + 1)
-    xi = (-1) ** q * _gamma_quotient(nu, q) / prod**2
-
-    def x(pos, s):
-        return pos - s * nu
-
-    num = 1.0 + 0.0j
-    for i in range(len(particles)):
-        for j in range(i + 1, len(particles)):
-            num *= x(*particles[i]) - x(*particles[j])
-    for i in range(len(holes)):
-        for j in range(i + 1, len(holes)):
-            num *= x(-holes[j][0], holes[j][1]) - x(-holes[i][0], holes[i][1])
-    den = 1.0 + 0.0j
-    for p, sp in particles:
-        for h, s in holes:
-            den *= x(p, sp) - x(-h, s)
-    return xi, num / den
-
-
 def tau_series_terms(params: MonodromyParams, trunc: SeriesTruncation):
     """Term records (q, w, exponent, coeff) of the Maya expansion.
 
@@ -243,23 +288,9 @@ def tau_series_terms(params: MonodromyParams, trunc: SeriesTruncation):
     for q in range(-trunc.charge_cutoff, trunc.charge_cutoff + 1):
         phase = cmath.exp(-4j * cmath.pi * eta * q)
         for w in range(trunc.weight_cutoff + 1):
-            weights = []
-            for w_plus in range(w + 1):
-                for rows_plus in partitions_of(w_plus):
-                    for rows_minus in partitions_of(w - w_plus):
-                        ps, hs = colored_positions(
-                            YoungDiagram(rows_plus), YoungDiagram(rows_minus), q
-                        )
-                        xi, delta = xi_delta(nu, ps, hs, q)
-                        weights.append(xi * delta**2)
-            terms.append((q, w, q * q - 2 * q * nu + w, phase * complex_fsum(weights)))
+            coeff = phase * complex_fsum(_maya_weights(nu, w, q))
+            terms.append((q, w, q * q - 2 * q * nu + w, coeff))
     return terms
-
-
-def tau_series_maya(t, params: MonodromyParams, trunc: SeriesTruncation) -> complex:
-    """Normalized tau function summed directly over Maya configurations."""
-    t = complex(t)
-    return complex_fsum(c * t**e for (_, _, e, c) in tau_series_terms(params, trunc))
 
 
 # ---------------------------------------------------------------------------
@@ -273,12 +304,9 @@ def z_bif_tilde(nu, y_plus: YoungDiagram, q_plus: int, y_minus: YoungDiagram, q_
     the proportionality is a sign.
     """
     nu = complex(nu)
-    mp = maya_from_young(y_plus, q_plus)
-    mm = maya_from_young(y_minus, q_minus)
-    hp = [-hd / 2 for hd in mp.holes]
-    hm = [-hd / 2 for hd in mm.holes]
-    pp = [pd / 2 for pd in mp.particles]
-    pm = [pd / 2 for pd in mm.particles]
+    (pp, hp), (pm, hm) = _profile(y_plus.rows, q_plus), _profile(y_minus.rows, q_minus)
+    hp, hm = [-hd / 2 for hd in hp], [-hd / 2 for hd in hm]
+    pp, pm = [pd / 2 for pd in pp], [pd / 2 for pd in pm]
     prod = 1.0 + 0.0j
     for q in hp:
         prod *= pochhammer(-nu, int(q + 0.5))
@@ -316,16 +344,13 @@ def check_lemma_identities(nu, weight_cutoff: int = 3, charge_cutoff: int = 2) -
       charged pairs (the proportionality is a sign);
     * ``cauchy_vs_inst``: relative error of Xi Delta^2 against the closed
       form in Gamma quotients, upsilon factors and the instanton weight
-      at nu - Q (four z_bif values);
-    * ``sign_rule``: True when sign(Xi Delta^2) = (-1)^Q holds for the
-      supplied real nu in (0, 1/2).
+      at nu - Q: the Maya table of each pair against its instanton table.
+
+    The Maya pairs have total weight <= weight_cutoff; the box-by-box
+    reference pairs each diagram of weight <= weight_cutoff with every other.
     """
     nu = complex(nu)
-    diagrams = [
-        YoungDiagram(rows)
-        for w in range(weight_cutoff + 1)
-        for rows in partitions_of(w)
-    ]
+    diagrams = [YoungDiagram(rows) for w in range(weight_cutoff + 1) for rows in partitions_of(w)]
     worst_ratio = 0.0
     for yp in diagrams:
         for ym in diagrams:
@@ -338,23 +363,11 @@ def check_lemma_identities(nu, weight_cutoff: int = 3, charge_cutoff: int = 2) -
                     worst_ratio = max(worst_ratio, abs(abs(zt / rhs) - 1))
 
     worst_closed = 0.0
-    sign_ok = True
-    real_case = abs(nu.imag) < 1e-14 and 0 < nu.real < 0.5
-    for yp in diagrams:
-        for ym in diagrams:
-            if yp.weight + ym.weight > weight_cutoff:
-                continue
-            for q in range(-charge_cutoff, charge_cutoff + 1):
-                ps, hs = colored_positions(yp, ym, q)
-                xi, delta = xi_delta(nu, ps, hs, q)
-                lhs = xi * delta**2
-                rhs = _gamma_quotient(nu, q) * _hyper_weight(nu - q, yp, ym)
-                rhs *= upsilon(2 * nu, -2 * q) * upsilon(-2 * nu, 2 * q)
-                worst_closed = max(worst_closed, abs(lhs - rhs) / abs(rhs))
-                if real_case and (lhs.real > 0) != ((-1) ** q > 0):
-                    sign_ok = False
-    return {
-        "maya_vs_box": worst_ratio,
-        "cauchy_vs_inst": worst_closed,
-        "sign_rule": sign_ok,
-    }
+    for w in range(weight_cutoff + 1):
+        table = _instanton_table(w)
+        for q in range(-charge_cutoff, charge_cutoff + 1):
+            lhs = _maya_weights(nu, w, q)
+            rhs = _gamma_quotient(nu, q) * _instanton_weights(table, nu - q)
+            rhs *= upsilon(2 * nu, -2 * q) * upsilon(-2 * nu, 2 * q)
+            worst_closed = max(worst_closed, float(np.max(np.abs(lhs - rhs) / np.abs(rhs))))
+    return {"maya_vs_box": worst_ratio, "cauchy_vs_inst": worst_closed}

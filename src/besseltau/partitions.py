@@ -19,8 +19,6 @@ __all__ = [
     "MayaDiagram",
     "young_from_maya",
     "maya_from_young",
-    "arm",
-    "leg",
     "hook",
     "partitions_of",
 ]
@@ -33,10 +31,10 @@ class YoungDiagram:
     rows: tuple
 
     def __post_init__(self):
-        rows = tuple(int(r) for r in self.rows)
-        if any(r < 1 for r in rows):
+        rows = tuple(map(int, self.rows))
+        if rows and min(rows) < 1:
             raise ValueError("Young diagram rows must be positive")
-        if any(rows[i] < rows[i + 1] for i in range(len(rows) - 1)):
+        if list(rows) != sorted(rows, reverse=True):
             raise ValueError("Young diagram rows must be weakly decreasing")
         object.__setattr__(self, "rows", rows)
 
@@ -45,12 +43,7 @@ class YoungDiagram:
         return sum(self.rows)
 
     def conjugate(self) -> "YoungDiagram":
-        if not self.rows:
-            return YoungDiagram(())
-        cols = tuple(
-            sum(1 for r in self.rows if r >= j) for j in range(1, self.rows[0] + 1)
-        )
-        return YoungDiagram(cols)
+        return YoungDiagram(_conjugate(self.rows))
 
     def row(self, i: int) -> int:
         """Row length Y_i with the zero-padding extension (i >= 1)."""
@@ -79,11 +72,11 @@ class MayaDiagram:
     holes: frozenset
 
     def __post_init__(self):
-        particles = frozenset(int(p) for p in self.particles)
-        holes = frozenset(int(h) for h in self.holes)
-        if any(p <= 0 or p % 2 == 0 for p in particles):
+        particles = frozenset(map(int, self.particles))
+        holes = frozenset(map(int, self.holes))
+        if not all(p > 0 and p & 1 for p in particles):
             raise ValueError("particles must be doubled positive half-integers (odd > 0)")
-        if any(h >= 0 or h % 2 == 0 for h in holes):
+        if not all(h < 0 and h & 1 for h in holes):
             raise ValueError("holes must be doubled negative half-integers (odd < 0)")
         object.__setattr__(self, "particles", particles)
         object.__setattr__(self, "holes", holes)
@@ -93,53 +86,50 @@ class MayaDiagram:
         return len(self.particles) - len(self.holes)
 
 
+def _conjugate(rows: tuple) -> tuple:
+    """Column lengths of the partition with the given rows."""
+    return tuple(sum(1 for r in rows if r >= j) for j in range(1, rows[0] + 1)) if rows else ()
+
+
+def _profile(rows: tuple, q: int):
+    """Charged partition -> (particles, holes), its sorted doubled Maya positions.
+
+    Row i >= 1 occupies the position 2 (rows[i] - i + 1/2 + Q), zero rows
+    included, so past the last row every position is occupied; the holes
+    are the negative positions above it that no row occupies.
+    """
+    occupied = [2 * (r - i + q) + 1 for i, r in enumerate(rows, start=1)]
+    first_empty = 2 * (q - len(rows)) - 1
+    particles = [*range(1, first_empty + 1, 2), *[x for x in reversed(occupied) if x > 0]]
+    holes = [h for h in range(first_empty + 2, 0, 2) if h not in occupied]
+    return tuple(particles), tuple(holes)
+
+
 def maya_from_young(y: YoungDiagram, q: int) -> MayaDiagram:
     """Charged partition -> Maya diagram via the profile walk."""
-    rows = y.rows
-    depth = len(rows) + abs(q) + 2
-    # doubled occupied positions 2*(rows[i] - i + 1/2 + q), i = 1..depth
-    filled = set()
-    for i in range(1, depth + 1):
-        yi = rows[i - 1] if i <= len(rows) else 0
-        filled.add(2 * yi - 2 * i + 1 + 2 * q)
-    particles = {x for x in filled if x > 0}
-    floor = min(filled)
-    holes = {x for x in range(-1, floor, -2) if x not in filled}
-    return MayaDiagram(frozenset(particles), frozenset(holes))
+    return MayaDiagram(*_profile(y.rows, q))
 
 
 def young_from_maya(m: MayaDiagram):
     """Maya diagram -> (YoungDiagram, charge); inverse of maya_from_young."""
     q = m.charge
-    floor = min(m.holes, default=-1) - 2 * len(m.particles) - 2
-    filled = sorted(
-        (set(range(-1, floor, -2)) - set(m.holes)) | set(m.particles), reverse=True
-    )
-    rows = []
-    for i, x in enumerate(filled, start=1):
-        # invert x = 2*Y_i - 2*i + 1 + 2*q
-        yi = (x - 1 - 2 * q) // 2 + i
-        if yi <= 0:
-            break
-        rows.append(yi)
+    # occupied positions in decreasing order: the particles, then the
+    # negative positions between the holes; past the lowest hole Y_i = 0
+    filled = sorted(m.particles, reverse=True)
+    top = -1
+    for h in sorted(m.holes, reverse=True):
+        filled.extend(range(top, h, -2))
+        top = h - 2
+    # invert x = 2*Y_i - 2*i + 1 + 2*q
+    rows = [y for i, x in enumerate(filled, start=1) if (y := (x - 1 - 2 * q) // 2 + i) > 0]
     return YoungDiagram(tuple(rows)), q
 
 
-def arm(y: YoungDiagram, i: int, j: int) -> int:
-    """Extended arm length Y_i - j (valid for boxes outside Y too)."""
-    return y.row(i) - j
-
-
-def leg(y: YoungDiagram, i: int, j: int) -> int:
-    """Extended leg length Y'_j - i."""
-    return y.conjugate().row(j) - i
-
-
 def hook(y: YoungDiagram, i: int, j: int) -> int:
-    """Hook length a + l + 1 of a box inside Y."""
+    """Hook length a + l + 1 of a box inside Y: arm Y_i - j, leg Y'_j - i."""
     if not (1 <= i <= len(y.rows) and 1 <= j <= y.rows[i - 1]):
         raise ValueError(f"box ({i}, {j}) lies outside the diagram {y.rows}")
-    return arm(y, i, j) + leg(y, i, j) + 1
+    return (y.row(i) - j) + (y.conjugate().row(j) - i) + 1
 
 
 @functools.lru_cache(maxsize=None)

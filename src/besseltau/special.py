@@ -46,11 +46,6 @@ def ln_gamma(z) -> complex:
     return complex(scipy.special.loggamma(z))
 
 
-def gamma(z) -> complex:
-    """Gamma(z) through the principal log-Gamma."""
-    return cmath.exp(ln_gamma(z))
-
-
 def pochhammer(alpha, k: int) -> complex:
     """Rising factorial alpha (alpha+1) ... (alpha+k-1); 1 for k = 0."""
     if k < 0:

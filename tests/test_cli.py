@@ -118,6 +118,12 @@ class TestValidation:
         assert result.exit_code == 2, result.output
         assert "t_grid point > 0" in result.output
 
+    def test_modes_at_zero_time_exits_2(self, runner, tmp_path):
+        grid = {"start": 0.0, "stop": 0.0, "count": 1}
+        result = runner.invoke(main, ["modes", "-c", _config(tmp_path, {"t_grid": grid})])
+        assert result.exit_code == 2, result.output
+        assert "config error: modes needs t_grid.start != 0" in result.output
+
     @pytest.mark.parametrize("command", ["series", "modes", "convergence", "check"])
     def test_json_format_only_for_tau(self, runner, tmp_path, command):
         result = runner.invoke(main, [command, "-c", _config(tmp_path, {"format": "json"})])

@@ -29,8 +29,8 @@ from besseltau.kernel import (
     rank_one_residual,
 )
 from besseltau.monodromy import MonodromyParams
-from besseltau.nekrasov import colored_positions, xi_delta
-from besseltau.partitions import YoungDiagram, partitions_of
+from besseltau.nekrasov import _maya_weights, _pairs
+from besseltau.partitions import _profile
 
 P_REAL = MonodromyParams.from_nu(0.37, 0.11)
 P_COMPLEX = MonodromyParams(0.2 - 0.3j, 0.07 + 0.04j)
@@ -69,6 +69,11 @@ class TestKernelJ:
             kernel_d(P_REAL, 0.05, 0.0, 1.0)
         with pytest.raises(ValueError):
             kernel_d(P_REAL, 0.05, np.array([1.0, 0.0]), 1.0)
+
+    def test_d_rejects_zero_time(self):
+        # the kernel vanishes as t -> 0, but w = t^nu leaves 1/w undefined at t = 0
+        with pytest.raises(ValueError, match="t, z, z' != 0"):
+            kernel_d(P_REAL, 0.0, 1.0, 1j)
 
     @pytest.mark.parametrize(
         "kern",
@@ -239,28 +244,21 @@ class TestPrincipalMinors:
         n = w_max + q_max + 2
         a, d1 = mode_matrix_a(params, n), mode_matrix_d(params, 1.0, n)
 
-        def index(pos, color):
-            return int(2 * (pos - 0.5)) + (0 if color == 1 else 1)
-
-        charged_pairs = [
-            (YoungDiagram(rows_plus), YoungDiagram(rows_minus), q)
-            for w in range(w_max + 1)
-            for w_plus in range(w + 1)
-            for rows_plus in partitions_of(w_plus)
-            for rows_minus in partitions_of(w - w_plus)
-            for q in range(-q_max, q_max + 1)
-        ]
-        for y_plus, y_minus, q in charged_pairs:
-            ps, hs = colored_positions(y_plus, y_minus, q)
-            cols, rows = [index(*x) for x in ps], [index(*x) for x in hs]
-            minor = (
-                (-1) ** len(cols)
-                * np.linalg.det(a[np.ix_(rows, cols)])
-                * np.linalg.det(d1[np.ix_(cols, rows)])
-            )
-            xi, delta = xi_delta(params.nu, ps, hs, q)
-            weight = cmath.exp(-4j * cmath.pi * params.eta * q) * xi * delta**2
-            assert minor == pytest.approx(weight, rel=1e-11, abs=0)
+        for w in range(w_max + 1):
+            for q in range(-q_max, q_max + 1):
+                weights = _maya_weights(params.nu, w, q)
+                for (rows_plus, rows_minus), weight in zip(_pairs(w), weights):
+                    (pp, hp), (pm, hm) = _profile(rows_plus, q), _profile(rows_minus, -q)
+                    # the doubled position |x| and color s index mode |x| - 1 + (s == -1)
+                    cols = [p - 1 for p in pp] + list(pm)
+                    rows = [-h - 1 for h in hp] + [-h for h in hm]
+                    minor = (
+                        (-1) ** len(cols)
+                        * np.linalg.det(a[np.ix_(rows, cols)])
+                        * np.linalg.det(d1[np.ix_(cols, rows)])
+                    )
+                    phase = cmath.exp(-4j * cmath.pi * params.eta * q)
+                    assert minor == pytest.approx(phase * weight, rel=1e-11, abs=0)
 
 
 class TestDeterminant:

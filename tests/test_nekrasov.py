@@ -2,30 +2,41 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from besseltau.monodromy import MonodromyParams
 from besseltau.nekrasov import (
     SeriesTruncation,
+    _instanton_table,
+    _instanton_weights,
+    _maya_weights,
+    _pairs,
     c_ratio,
     check_lemma_identities,
-    colored_positions,
     quasi_periodicity_residual,
-    tau_series_maya,
     tau_series_terms,
-    xi_delta,
     z_bif,
-    z_dual,
-    z_inst,
     z_inst_coefficients,
 )
-from besseltau.partitions import EMPTY, YoungDiagram, arm, hook, leg, partitions_of
+from besseltau.partitions import EMPTY, YoungDiagram, _profile, hook, partitions_of
+from besseltau.tau import TauRoute
 
 # weight-2 instanton coefficients frozen from a 40-digit independent run
 W2_REAL = 18.69462911040480561  # nu = 0.37
 W2_COMPLEX = 7.61 - 2.48j  # nu = 0.2 + 0.1i (exactly rational)
 
 P_GENERIC = MonodromyParams.from_nu(0.37, 0.11)
+
+
+def arm(y, i, j):
+    """Extended arm length Y_i - j, for the box-by-box z_bif oracle."""
+    return y.row(i) - j
+
+
+def leg(y, i, j):
+    """Extended leg length Y'_j - i."""
+    return y.conjugate().row(j) - i
 
 
 class TestZBif:
@@ -82,11 +93,38 @@ class TestZInst:
         )
 
     def test_sum_matches_coefficients(self):
+        # at charge cutoff 0 the dual sum is the instanton sum
         t, nu = 0.03, 0.41
-        trunc = SeriesTruncation(4, 0)
+        route = TauRoute(MonodromyParams.from_nu(nu, 0.0), "nekrasov", trunc=SeriesTruncation(4, 0))
         coeffs = z_inst_coefficients(nu, 4)
         expected = sum(coeffs[k] * t**k for k in range(5))
-        assert z_inst(t, nu, trunc) == pytest.approx(expected, rel=1e-14)
+        assert route.tau(t).tau == pytest.approx(expected, rel=1e-14)
+
+
+class TestTables:
+    @pytest.mark.parametrize("nu", [0.37, 0.2 + 0.1j])
+    @pytest.mark.parametrize("shift", [0, 2, -1])
+    def test_instanton_weights_match_z_bif(self, nu, shift):
+        # 1 / prod_{s, s'} z_bif(nu (s - s') | Y^{s'}, Y^s) from the scalar z_bif
+        nu = nu + shift
+        for w in range(6):
+            weights = _instanton_weights(_instanton_table(w), nu)
+            assert len(weights) == sum(1 for _ in _pairs(w))
+            for (rows_plus, rows_minus), weight in zip(_pairs(w), weights):
+                y = {1: YoungDiagram(rows_plus), -1: YoungDiagram(rows_minus)}
+                den = math.prod(
+                    z_bif(nu * (s - sp), y[sp], y[s]) for s in (1, -1) for sp in (1, -1)
+                )
+                assert weight == pytest.approx(1 / den, rel=1e-14, abs=0)
+
+    def test_pairs_enumerate_each_weight_once(self):
+        for w in range(7):
+            pairs = list(_pairs(w))
+            assert len(set(pairs)) == len(pairs)
+            assert all(sum(yp) + sum(ym) == w for yp, ym in pairs)
+            assert len(pairs) == sum(
+                len(partitions_of(k)) * len(partitions_of(w - k)) for k in range(w + 1)
+            )
 
 
 class TestCRatio:
@@ -107,19 +145,24 @@ class TestCRatio:
 
 class TestMayaSeries:
     def test_vacuum_term(self):
-        xi, delta = xi_delta(0.37, (), (), 0)
-        assert xi == 1 and delta == 1
+        assert _maya_weights(0.37, 0, 0).tolist() == [1]
 
     def test_colored_positions_sum_rule(self):
-        yp, ym, q = YoungDiagram((2, 1)), YoungDiagram((1,)), 1
-        ps, hs = colored_positions(yp, ym, q)
-        total = sum(p for p, _ in ps) + sum(h for h, _ in hs)
-        # each Maya diagram contributes Q^2/2 + |Y|
-        assert total == q**2 + yp.weight + ym.weight
+        # the walk's doubled positions: each Maya diagram contributes
+        # (sum of particles - sum of holes) / 2 = Q^2/2 + |Y|
+        rows_plus, rows_minus, q = (2, 1), (1,), 1
+        total = 0
+        for rows, charge in ((rows_plus, q), (rows_minus, -q)):
+            particles, holes = _profile(rows, charge)
+            total += sum(particles) - sum(holes)
+        assert total == 2 * q**2 + 2 * (sum(rows_plus) + sum(rows_minus))
 
     def test_sign_rule(self):
-        report = check_lemma_identities(0.313, weight_cutoff=3, charge_cutoff=2)
-        assert report["sign_rule"] is True
+        # for real nu in (0, 1/2), every Maya weight Xi Delta^2 has the sign (-1)^Q
+        for w in range(4):
+            for q in range(-2, 3):
+                weights = _maya_weights(0.313, w, q)
+                assert np.all(np.sign(weights.real) == (-1) ** q), (w, q)
 
     @pytest.mark.parametrize("nu", [0.313, 0.2 + 0.15j])
     def test_structural_identities(self, nu):
@@ -130,8 +173,8 @@ class TestMayaSeries:
     def test_maya_equals_dual(self):
         trunc = SeriesTruncation(5, 2)
         t = 0.04
-        maya = tau_series_maya(t, P_GENERIC, trunc)
-        dual = z_dual(t, P_GENERIC, trunc)
+        maya = TauRoute(P_GENERIC, "maya", trunc=trunc).tau(t).tau
+        dual = TauRoute(P_GENERIC, "nekrasov", trunc=trunc).tau(t).tau
         assert maya == pytest.approx(dual, rel=1e-12)
 
     def test_term_records_normalized(self):
@@ -151,8 +194,8 @@ class TestSymmetries:
     def test_eta_half_period(self):
         t, trunc = 0.05, SeriesTruncation(5, 2)
         shifted = MonodromyParams(P_GENERIC.sigma, P_GENERIC.eta + 0.5)
-        assert z_dual(t, shifted, trunc) == pytest.approx(
-            z_dual(t, P_GENERIC, trunc), rel=1e-14
+        assert TauRoute(shifted, "nekrasov", trunc=trunc).tau(t).tau == pytest.approx(
+            TauRoute(P_GENERIC, "nekrasov", trunc=trunc).tau(t).tau, rel=1e-14
         )
 
     def test_truncation_validation(self):

@@ -8,13 +8,21 @@ from besseltau.partitions import (
     EMPTY,
     MayaDiagram,
     YoungDiagram,
-    arm,
     hook,
-    leg,
     maya_from_young,
     partitions_of,
     young_from_maya,
 )
+
+
+def arm(y, i, j):
+    """Extended arm length Y_i - j, valid for boxes outside Y too."""
+    return y.row(i) - j
+
+
+def leg(y, i, j):
+    """Extended leg length Y'_j - i."""
+    return y.conjugate().row(j) - i
 
 
 @st.composite

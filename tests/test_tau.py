@@ -6,9 +6,12 @@ import math
 import numpy as np
 import pytest
 
+import besseltau
+from besseltau import nekrasov, partitions
+from besseltau import tau as tau_module
 from besseltau.kernel import ModeMatrices, fredholm_det
 from besseltau.monodromy import MonodromyParams
-from besseltau.nekrasov import SeriesTruncation, tau_series_maya
+from besseltau.nekrasov import SeriesTruncation, complex_fsum, tau_series_terms
 from besseltau.tau import (
     METHODS,
     TauRoute,
@@ -120,8 +123,12 @@ class TestTau:
         finer = fredholm_det(ModeMatrices.build(P_GENERIC, t, 10))
         assert tv.est_error == pytest.approx(abs(finer - alone), rel=1e-6, abs=1e-15)
         tv = tau(t, P_GENERIC, "maya", trunc=TRUNC)
-        assert tv.tau == tau_series_maya(t, P_GENERIC, TRUNC)
-        finer = tau_series_maya(t, P_GENERIC, SeriesTruncation(7, 2))
+
+        def series_sum(trunc):
+            return complex_fsum(c * complex(t) ** e for (_, _, e, c) in tau_series_terms(P_GENERIC, trunc))
+
+        assert tv.tau == series_sum(TRUNC)
+        finer = series_sum(SeriesTruncation(7, 2))
         assert tv.est_error == abs(finer - tv.tau)
 
     def test_truncation_metadata(self):
@@ -148,6 +155,26 @@ class TestTauRoute:
             TauRoute(P_GENERIC, "lax")
         with pytest.raises(ValueError, match="n_modes"):
             TauRoute(P_GENERIC, "fredholm", n_modes=0)
+
+    @pytest.mark.parametrize("method", ["maya", "nekrasov"])
+    def test_series_build_makes_no_diagram_objects(self, method, monkeypatch):
+        # the series structure is integer tables over row tuples; building a
+        # route constructs no YoungDiagram or MayaDiagram and calls no maya_from_young
+        calls = []
+
+        def counted(name, fn):
+            return lambda *args: calls.append(name) or fn(*args)
+
+        for cls in (partitions.YoungDiagram, partitions.MayaDiagram):
+            monkeypatch.setattr(cls, "__post_init__", counted(cls.__name__, cls.__post_init__))
+        for mod in (besseltau, partitions, nekrasov, tau_module):
+            if hasattr(mod, "maya_from_young"):
+                monkeypatch.setattr(mod, "maya_from_young", counted("maya_from_young", mod.maya_from_young))
+        TauRoute(P_GENERIC, method, trunc=TRUNC)
+        assert calls == []
+        # the counters do count
+        partitions.maya_from_young(partitions.YoungDiagram((2, 1)), 1)
+        assert calls == ["YoungDiagram", "maya_from_young", "MayaDiagram"]
 
     def test_values_do_not_share_provenance(self):
         route = TauRoute(P_GENERIC, "maya", trunc=TRUNC)
