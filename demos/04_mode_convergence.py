@@ -14,7 +14,6 @@ from besseltau import (
     MonodromyParams,
     SeriesTruncation,
     fredholm_det,
-    fredholm_det_block,
     kernel_a,
     kernel_d,
     mode_matrix_a,
@@ -41,7 +40,9 @@ prev = None
 for n in (2, 4, 6, 8, 10, 12):
     modes = ModeMatrices.build(params, t, n)
     det = fredholm_det(modes)
-    block = fredholm_det_block(modes)
+    # the same determinant from the 4N x 4N block form [[I, -A], [-D, I]]
+    eye = np.eye(2 * n)
+    block = np.linalg.det(np.block([[eye, -modes.a], [-modes.d, eye]]))
     change = "" if prev is None else f"{abs(det - prev):12.3e}"
     print(f"{n:4d} {det.real:18.15f} {det.imag:+17.15f}j {change:>12} "
           f"{abs(det - block):16.3e}")

@@ -16,10 +16,8 @@ from .errors import (
 )
 from .kernel import (
     ModeMatrices,
-    adaptive_fredholm_det,
     bessel_kernel_J,
     fredholm_det,
-    fredholm_det_block,
     kernel_a,
     kernel_d,
     mode_matrix_a,
@@ -63,10 +61,8 @@ __all__ = [
     "PoleError",
     "QuadratureConvergenceError",
     "ModeMatrices",
-    "adaptive_fredholm_det",
     "bessel_kernel_J",
     "fredholm_det",
-    "fredholm_det_block",
     "kernel_a",
     "kernel_d",
     "mode_matrix_a",

@@ -254,6 +254,8 @@ def series(config_path):
     def run():
         cfg = _load_config(config_path)
         params, _, methods, trunc, _ = _validate(cfg, "series")
+        if methods == ["fredholm"]:
+            raise ConfigError("series has no fredholm method; use maya, nekrasov or all")
         use_maya = methods == ["maya"]
         terms = (
             tau_series_terms(params, trunc)
@@ -314,6 +316,8 @@ def convergence(config_path):
     def run():
         cfg = _load_config(config_path)
         params, ts, _, trunc, n_modes = _validate(cfg, "convergence")
+        if ts[0] == 0:
+            raise ConfigError("convergence needs t_grid.start != 0; t**exponent is undefined at t = 0")
         t = complex(ts[0])
         # one build each: leading blocks of the N build, partial sums of the W table
         full = ModeMatrices.build(params, t, n_modes)

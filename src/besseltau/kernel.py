@@ -4,30 +4,39 @@ Two faces of the same operator K = [[0, a], [d, 0]]:
 
 * continuous 2x2 matrix kernels a(z', z), d(z', z) built from the matrix
   J_sigma(z', z), bilinear in the entire functions j_sigma;
-* their Fourier modes, which are Cauchy matrices up to diagonal factors
-  and phases, assembled here into finite blocks A (rows = hole modes,
-  columns = particle modes) and D (transposed roles).
+* their Fourier modes, finite blocks A (rows = hole modes, columns =
+  particle modes) and D (transposed roles), Cauchy matrices up to
+  diagonal factors and phases.
 
 The tau function is det(1 - K) = det(I - A D) in the truncated mode
-basis.  Fourier modes extracted from circle samples of the continuous
-kernels (``modes_by_quadrature``) serve as an independent cross-check of
-the closed-form entries.
+basis.  The mode blocks come in three layers:
 
-Mode ordering is the fixed interleaving
-[(1/2, +), (1/2, -), (3/2, +), (3/2, -), ...]; determinants do not care,
-and this keeps block growth local when the truncation order N increases.
-All fractional powers take the principal branch, arg in (-pi, pi].
+* structure, free of t and of the parameters: ``_modes(n)`` gives the
+  interleaved basis [(1/2, +), (1/2, -), (3/2, +), (3/2, -), ...] as two
+  index vectors, the half-integer momenta p and the colors s; by the
+  interleaving every smaller truncation is a leading corner;
+* coefficients in nu and eta: ``_psi`` gives the vectors psi and psibar
+  over all modes, one Gamma root per color and the factorials and
+  Pochhammer symbols as one cumulative product;
+* evaluation: ``_cauchy_block`` is one broadcast psi x psibar / (p + q +
+  (s - s') nu) times the twist phase, for A and for D(1), and
+  D(t) = D(1) * t**E with the exponents ``mode_exponents``; the
+  determinant is one LU factorization.
+
+Fourier modes extracted from circle samples of the continuous kernels
+(``modes_by_quadrature``) serve as an independent cross-check of the
+closed-form entries.  All fractional powers take the principal branch,
+arg in (-pi, pi].
 """
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CauchyCollisionError, QuadratureConvergenceError
 from .monodromy import MonodromyParams, check_off_lattice
-from .special import j_sigma, ln_gamma, pochhammer
+from .special import j_sigma, ln_gamma
 
 __all__ = [
     "ModeMatrices",
@@ -38,10 +47,7 @@ __all__ = [
     "mode_matrix_d",
     "modes_by_quadrature",
     "fredholm_det",
-    "fredholm_det_block",
-    "adaptive_fredholm_det",
     "rank_one_residual",
-    "mode_list",
     "mode_exponents",
 ]
 
@@ -114,60 +120,54 @@ def kernel_d(params: MonodromyParams, t, zp, z) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Fourier modes
+# Fourier modes: structure, coefficients, evaluation
 
 
-def mode_list(n: int):
-    """Interleaved mode enumeration [(1/2, +1), (1/2, -1), (3/2, +1), ...]."""
-    out = []
-    for k in range(n):
-        out.append((k + 0.5, 1))
-        out.append((k + 0.5, -1))
-    return out
+def _modes(n: int):
+    """The interleaved basis (1/2, +), (1/2, -), (3/2, +), ... of truncation n:
+    the half-integer momenta p and the colors s, two arrays of length 2n."""
+    return np.repeat(np.arange(n) + 0.5, 2), np.tile([1, -1], n)
 
 
-def _gamma_root(s: int, nu: complex) -> complex:
-    """Principal sqrt of Gamma(1+2s nu)/Gamma(1-2s nu) via log-Gammas."""
-    return cmath.exp(0.5 * (ln_gamma(1 + 2 * s * nu) - ln_gamma(1 - 2 * s * nu)))
+def _psi(nu, n: int, branch_sign=None):
+    """psi^{p;s}(nu) and psibar_{p;s}(nu) over the modes of ``_modes(n)``.
 
-
-def psi_mode(p: float, s: int, nu: complex, branch_sign: int = 1) -> complex:
-    m = int(p - 0.5)
-    root = branch_sign * _gamma_root(s, nu)
-    return root * cmath.exp(-1j * cmath.pi * s / 4) / (
-        math.factorial(m) * pochhammer(1 - 2 * s * nu, m)
-    )
-
-
-def psibar_mode(p: float, s: int, nu: complex, branch_sign: int = 1) -> complex:
-    m = int(p - 0.5)
-    root = branch_sign / _gamma_root(s, nu)
-    return root * cmath.exp(1j * cmath.pi * s / 4) / (
-        math.factorial(m) * pochhammer(2 * s * nu, m + 1)
-    )
+    With m = p - 1/2 and r_s the principal sqrt of Gamma(1 + 2s nu)/Gamma(1 - 2s nu),
+    psi = r_s exp(-i pi s/4) / (m! (1 - 2s nu)_m) and
+    psibar = exp(i pi s/4) / (r_s m! (2s nu)_{m+1}); ``branch_sign`` flips r_s
+    per color, {+1: +-1, -1: +-1}.  Both denominators are cumulative products
+    over m, so every entry reads only the lower modes and a smaller build is
+    a prefix of a larger one, bit for bit.
+    """
+    branch_sign = branch_sign or {1: 1, -1: 1}
+    psi, psibar = np.empty(2 * n, dtype=complex), np.empty(2 * n, dtype=complex)
+    j = np.arange(1, n)
+    for k, s in enumerate((1, -1)):
+        x = 2 * s * complex(nu)
+        root = branch_sign[s] * cmath.exp(0.5 * (ln_gamma(1 + x) - ln_gamma(1 - x)))
+        # m! (1 - x)_m = prod_{j <= m} j (j - x) and m! (x)_{m+1} = x prod_{j <= m} j (j + x)
+        psi[k::2] = root * cmath.exp(-1j * cmath.pi * s / 4) / np.cumprod(np.r_[1, j * (j - x)])
+        psibar[k::2] = cmath.exp(1j * cmath.pi * s / 4) / root / np.cumprod(np.r_[x, j * (j + x)])
+    return psi, psibar
 
 
 def _cauchy_block(nu, twist, n: int, branch_sign=None) -> np.ndarray:
-    """Mode block with rows (x, s_x) and columns (y, s_y), both in mode_list order.
+    """Mode block with rows (x, s_x) and columns (y, s_y), both in ``_modes`` order.
 
     Entry psi^{y;s_y}(nu) psibar_{x;s_x}(nu) / (x + y + (s_x - s_y) nu)
     times the phase exp(i pi twist (s_x - s_y)): a Cauchy matrix up to
     diagonal factors.  Raises CauchyCollisionError when a denominator
     (a difference of shifted momenta) vanishes.
     """
-    branch_sign = branch_sign or {1: 1, -1: 1}
-    ms = mode_list(n)
-    pos = np.array([p for p, _ in ms])
-    color = np.array([s for _, s in ms])
-    psi = np.array([psi_mode(p, s, nu, branch_sign[s]) for p, s in ms])
-    psibar = np.array([psibar_mode(p, s, nu, branch_sign[s]) for p, s in ms])
-    dcolor = color[:, None] - color[None, :]
-    den = pos[:, None] + pos[None, :] + dcolor * nu
+    p, s = _modes(n)
+    psi, psibar = _psi(nu, n, branch_sign)
+    dcolor = s[:, None] - s[None, :]
+    den = p[:, None] + p[None, :] + dcolor * nu
     small = np.abs(den) < 1e-10
     if small.any():
         r, c = np.argwhere(small)[0]
         raise CauchyCollisionError(
-            f"shifted momenta collide: rows ({ms[r]}), columns ({ms[c]}), nu={nu}"
+            f"shifted momenta collide: rows ({p[r]}, {s[r]}), columns ({p[c]}, {s[c]}), nu={nu}"
         )
     # s_x - s_y takes the values -2, 0, 2
     phases = np.array([cmath.exp(1j * cmath.pi * twist * k) for k in (-2, 0, 2)])
@@ -191,8 +191,8 @@ def mode_exponents(nu, n: int) -> np.ndarray:
 
     D(t) = D(1) * t**E entrywise, so theta^k D = E**k * D for theta = t d/dt.
     """
-    ms = mode_list(n)
-    return np.array([[(s - sp) * nu + p + q for q, s in ms] for p, sp in ms], dtype=complex)
+    p, s = _modes(n)
+    return (s[None, :] - s[:, None]) * complex(nu) + p[:, None] + p[None, :]
 
 
 def mode_matrix_d(params: MonodromyParams, t, n: int, branch_sign=None) -> np.ndarray:
@@ -266,19 +266,15 @@ def modes_by_quadrature(kern, n: int, radius: float, block: str = "a", samples=N
             f"modes at Nyquist index {nyq} not below 1e-10 of peak ({edge / top:.2e})"
         )
 
-    out = np.empty((2 * n, 2 * n), dtype=complex)
-    for r in range(n):
-        for c in range(n):
-            if block == "a":
-                mzp, mz = c, r  # z'^{p-1/2}, z^{q-1/2}
-            else:
-                mzp, mz = -1 - c, -1 - r  # z'^{-1/2-q}, z^{-1/2-p}
-            coef = modes[mzp % m, mz % m] * np.exp(-1j * np.pi * mzp / m)
-            coef = coef / radius ** (mzp + mz)
-            # kernel colors (row, column) land transposed in both layouts:
-            # A[(q,s),(p,s')] from row s', column s; D[(p,s'),(q,s)] from row s, column s'
-            out[2 * r : 2 * r + 2, 2 * c : 2 * c + 2] = coef.T
-    return out
+    k = np.arange(n)
+    # a: z'^{p-1/2} z^{q-1/2}, d: z'^{-1/2-q} z^{-1/2-p}; the z' power
+    # indexes the output's column modes, the z power its row modes
+    mzp = mz = k if block == "a" else -1 - k
+    coef = modes[np.ix_(mzp % m, mz % m)] * np.exp(-1j * np.pi * mzp / m)[:, None, None, None]
+    coef = coef / (float(radius) ** (mzp[:, None] + mz[None, :]))[..., None, None]
+    # kernel colors (row, column) land transposed in both layouts:
+    # A[(q,s),(p,s')] from row s', column s; D[(p,s'),(q,s)] from row s, column s'
+    return coef.transpose(1, 3, 0, 2).reshape(2 * n, 2 * n)
 
 
 # ---------------------------------------------------------------------------
@@ -289,32 +285,6 @@ def fredholm_det(modes: ModeMatrices) -> complex:
     """det(I - A D) by LU factorization with partial pivoting."""
     size = 2 * modes.n
     return complex(np.linalg.det(np.eye(size) - modes.a @ modes.d))
-
-
-def fredholm_det_block(modes: ModeMatrices) -> complex:
-    """Same determinant from the 4N x 4N block form [[I, -A], [-D, I]]."""
-    size = 2 * modes.n
-    eye = np.eye(size)
-    top = np.hstack([eye, -modes.a])
-    bottom = np.hstack([-modes.d, eye])
-    return complex(np.linalg.det(np.vstack([top, bottom])))
-
-
-def adaptive_fredholm_det(params: MonodromyParams, t, tol: float = 1e-12, max_n: int = 64):
-    """Double N until the determinant stabilizes below tol (or N hits the cap).
-
-    Returns (value, n, est_error) with est_error the last change of the
-    value; it stays above tol when the cap stopped the doubling, and is
-    inf when no doubling took place (max_n <= 4).
-    """
-    n = 4
-    val = fredholm_det(ModeMatrices.build(params, t, n))
-    change = math.inf
-    while n < max_n and not change < tol:
-        n = min(2 * n, max_n)
-        prev, val = val, fredholm_det(ModeMatrices.build(params, t, n))
-        change = abs(val - prev)
-    return val, n, change
 
 
 def rank_one_residual(params: MonodromyParams, n: int, which: str = "a") -> float:
@@ -329,21 +299,15 @@ def rank_one_residual(params: MonodromyParams, n: int, which: str = "a") -> floa
     """
     if which not in ("a", "d"):
         raise ValueError("which must be 'a' or 'd'")
-    if n == 0:
-        return 0.0
+    if n < 1:
+        raise ValueError(f"truncation order must be >= 1, got {n}")
     if which == "a":
         mat, nu, twist = mode_matrix_a(params, n), params.nu, 2 * params.eta - params.sigma
     else:
         mat, nu, twist = mode_matrix_d(params, 1.0, n), -params.nu, -params.sigma
-    ms = mode_list(n)
-    worst = 0.0
-    for r, (x, sx) in enumerate(ms):
-        for c, (y, sy) in enumerate(ms):
-            rhs = (
-                psi_mode(y, sy, nu)
-                * psibar_mode(x, sx, nu)
-                * cmath.exp(1j * cmath.pi * twist * (sx - sy))
-            )
-            lhs = (x + y + (sx - sy) * nu) * mat[r, c]
-            worst = max(worst, abs(lhs - rhs))
-    return worst
+    p, s = _modes(n)
+    psi, psibar = _psi(nu, n)
+    dcolor = s[:, None] - s[None, :]
+    lhs = (p[:, None] + p[None, :] + dcolor * nu) * mat
+    rhs = psi[None, :] * psibar[:, None] * np.exp(1j * np.pi * twist * dcolor)
+    return float(np.max(np.abs(lhs - rhs)))

@@ -351,16 +351,19 @@ def check_lemma_identities(nu, weight_cutoff: int = 3, charge_cutoff: int = 2) -
     """
     nu = complex(nu)
     diagrams = [YoungDiagram(rows) for w in range(weight_cutoff + 1) for rows in partitions_of(w)]
+    charges = range(-charge_cutoff, charge_cutoff + 1)
+    # the box-by-box side reads the charges only through d = Q+ - Q-
+    ups = {d: upsilon(nu, d) for d in range(-2 * charge_cutoff, 2 * charge_cutoff + 1)}
     worst_ratio = 0.0
     for yp in diagrams:
         for ym in diagrams:
-            for qp in range(-charge_cutoff, charge_cutoff + 1):
-                for qm in range(-charge_cutoff, charge_cutoff + 1):
-                    zt = z_bif_tilde(nu, yp, qp, ym, qm)
-                    rhs = z_bif(nu + qp - qm, yp, ym) / upsilon(nu, qp - qm)
-                    if rhs == 0:
+            rhs = {d: z_bif(nu + d, yp, ym) / u for d, u in ups.items()}
+            for qp in charges:
+                for qm in charges:
+                    zt, ref = z_bif_tilde(nu, yp, qp, ym, qm), rhs[qp - qm]
+                    if ref == 0:
                         continue
-                    worst_ratio = max(worst_ratio, abs(abs(zt / rhs) - 1))
+                    worst_ratio = max(worst_ratio, abs(abs(zt / ref) - 1))
 
     worst_closed = 0.0
     for w in range(weight_cutoff + 1):

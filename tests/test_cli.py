@@ -124,6 +124,20 @@ class TestValidation:
         assert result.exit_code == 2, result.output
         assert "config error: modes needs t_grid.start != 0" in result.output
 
+    @pytest.mark.parametrize("sigma", [[-0.13, 0.05], [0.4, 0]], ids=["complex", "re_nu_above_half"])
+    def test_convergence_at_zero_time_exits_2(self, runner, tmp_path, sigma):
+        # t**exponent has no value at t = 0 for a complex or negative-real exponent
+        grid = {"start": 0.0, "stop": 0.0, "count": 1}
+        cfg = _config(tmp_path, {"sigma": sigma, "t_grid": grid})
+        result = runner.invoke(main, ["convergence", "-c", cfg])
+        assert result.exit_code == 2, result.output
+        assert "config error: convergence needs t_grid.start != 0" in result.output
+
+    def test_series_without_a_series_method_exits_2(self, runner, tmp_path):
+        result = runner.invoke(main, ["series", "-c", _config(tmp_path, {"method": "fredholm"})])
+        assert result.exit_code == 2, result.output
+        assert "config error: series has no fredholm method" in result.output
+
     @pytest.mark.parametrize("command", ["series", "modes", "convergence", "check"])
     def test_json_format_only_for_tau(self, runner, tmp_path, command):
         result = runner.invoke(main, [command, "-c", _config(tmp_path, {"format": "json"})])

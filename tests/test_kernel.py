@@ -1,11 +1,14 @@
 """Unit tests for the kernel functions and their Fourier modes."""
 
 import cmath
+import math
+import sys
 import types
 
 import numpy as np
 import pytest
 
+from besseltau import special
 from besseltau.errors import (
     CauchyCollisionError,
     DegenerateParameterError,
@@ -13,24 +16,22 @@ from besseltau.errors import (
 )
 from besseltau.kernel import (
     ModeMatrices,
-    adaptive_fredholm_det,
+    _modes,
     bessel_kernel_J,
     fredholm_det,
-    fredholm_det_block,
     kernel_a,
     kernel_d,
     mode_exponents,
-    mode_list,
     mode_matrix_a,
     mode_matrix_d,
     modes_by_quadrature,
-    psi_mode,
-    psibar_mode,
     rank_one_residual,
 )
 from besseltau.monodromy import MonodromyParams
 from besseltau.nekrasov import _maya_weights, _pairs
 from besseltau.partitions import _profile
+from besseltau.special import ln_gamma, pochhammer
+from besseltau.tau import TauRoute
 
 P_REAL = MonodromyParams.from_nu(0.37, 0.11)
 P_COMPLEX = MonodromyParams(0.2 - 0.3j, 0.07 + 0.04j)
@@ -39,6 +40,57 @@ P_COMPLEX = MonodromyParams(0.2 - 0.3j, 0.07 + 0.04j)
 # pairs 1e-9 apart, where the removable singularity is taken as a limit
 GRID_ZP = np.array([0.3, (0.4 + 0.1j) * (1 + 1e-9), -0.7 + 0.3j, 2.0 - 0.5j])
 GRID_Z = np.array([0.3, 0.4 + 0.1j, 0.9 - 0.2j, 2.0 - 0.5j])
+
+
+# Scalar references for the broadcast mode layer: one mode, one entry at a time.
+
+
+def mode_list(n):
+    """Interleaved mode enumeration [(1/2, +1), (1/2, -1), (3/2, +1), ...]."""
+    return [(k + 0.5, s) for k in range(n) for s in (1, -1)]
+
+
+def gamma_root(s, nu):
+    """Principal sqrt of Gamma(1 + 2s nu) / Gamma(1 - 2s nu) via log-Gammas."""
+    return cmath.exp(0.5 * (ln_gamma(1 + 2 * s * nu) - ln_gamma(1 - 2 * s * nu)))
+
+
+def psi_mode(p, s, nu, branch_sign=1):
+    """psi^{p;s}(nu) = r_s exp(-i pi s/4) / (m! (1 - 2s nu)_m), m = p - 1/2."""
+    m = int(p - 0.5)
+    root = branch_sign * gamma_root(s, nu)
+    return root * cmath.exp(-1j * cmath.pi * s / 4) / (
+        math.factorial(m) * pochhammer(1 - 2 * s * nu, m)
+    )
+
+
+def psibar_mode(p, s, nu, branch_sign=1):
+    """psibar_{p;s}(nu) = exp(i pi s/4) / (r_s m! (2s nu)_{m+1}), m = p - 1/2."""
+    m = int(p - 0.5)
+    root = branch_sign / gamma_root(s, nu)
+    return root * cmath.exp(1j * cmath.pi * s / 4) / (
+        math.factorial(m) * pochhammer(2 * s * nu, m + 1)
+    )
+
+
+def block_form_det(modes):
+    """det(I - A D) from the 4N x 4N block form [[I, -A], [-D, I]]."""
+    eye = np.eye(2 * modes.n)
+    return complex(np.linalg.det(np.block([[eye, -modes.a], [-modes.d, eye]])))
+
+
+def count_ln_gamma(monkeypatch):
+    """Arguments of every ln_gamma call, wherever a besseltau module binds it."""
+    calls, orig = [], special.ln_gamma
+
+    def counted(z):
+        calls.append(z)
+        return orig(z)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("besseltau") and getattr(mod, "ln_gamma", None) is orig:
+            monkeypatch.setattr(mod, "ln_gamma", counted)
+    return calls
 
 
 class TestKernelJ:
@@ -94,6 +146,9 @@ class TestKernelJ:
 
 class TestModeMatrices:
     def test_ordering(self):
+        p, s = _modes(2)
+        np.testing.assert_array_equal(p, [0.5, 0.5, 1.5, 1.5])
+        np.testing.assert_array_equal(s, [1, -1, 1, -1])
         assert mode_list(2) == [(0.5, 1), (0.5, -1), (1.5, 1), (1.5, -1)]
 
     def test_leading_entries(self):
@@ -158,37 +213,38 @@ class TestModeMatrices:
     @pytest.mark.parametrize("branch_sign", [None, {1: -1, -1: 1}])
     def test_blocks_match_scalar_loop(self, branch_sign):
         # entry by entry from the scalar mode functions; the broadcast
-        # products may round differently, by a few ulp
-        params, n = P_COMPLEX, 4
+        # products round differently, by a few ulp that grow slowly with m
+        params = P_COMPLEX
         bs = branch_sign or {1: 1, -1: 1}
         nu, sigma, eta = params.nu, params.sigma, params.eta
-        ms = mode_list(n)
-        a_ref = np.array(
-            [
+        for n, rtol in ((4, 4e-15), (26, 1e-14)):
+            ms = mode_list(n)
+            a_ref = np.array(
                 [
-                    psi_mode(p, sp, nu, bs[sp])
-                    * psibar_mode(q, s, nu, bs[s])
-                    / (p + q + (s - sp) * nu)
-                    * np.exp(1j * np.pi * (2 * eta - sigma) * (s - sp))
-                    for p, sp in ms
-                ]
-                for q, s in ms
-            ]
-        )
-        d_ref = np.array(
-            [
-                [
-                    psi_mode(q, s, -nu, bs[s])
-                    * psibar_mode(p, sp, -nu, bs[sp])
-                    / (p + q + (s - sp) * nu)
-                    * np.exp(1j * np.pi * sigma * (s - sp))
+                    [
+                        psi_mode(p, sp, nu, bs[sp])
+                        * psibar_mode(q, s, nu, bs[s])
+                        / (p + q + (s - sp) * nu)
+                        * np.exp(1j * np.pi * (2 * eta - sigma) * (s - sp))
+                        for p, sp in ms
+                    ]
                     for q, s in ms
                 ]
-                for p, sp in ms
-            ]
-        )
-        np.testing.assert_allclose(mode_matrix_a(params, n, branch_sign), a_ref, rtol=4e-15)
-        np.testing.assert_allclose(mode_matrix_d(params, 1.0, n, branch_sign), d_ref, rtol=4e-15)
+            )
+            d_ref = np.array(
+                [
+                    [
+                        psi_mode(q, s, -nu, bs[s])
+                        * psibar_mode(p, sp, -nu, bs[sp])
+                        / (p + q + (s - sp) * nu)
+                        * np.exp(1j * np.pi * sigma * (s - sp))
+                        for q, s in ms
+                    ]
+                    for p, sp in ms
+                ]
+            )
+            np.testing.assert_allclose(mode_matrix_a(params, n, branch_sign), a_ref, rtol=rtol)
+            np.testing.assert_allclose(mode_matrix_d(params, 1.0, n, branch_sign), d_ref, rtol=rtol)
 
     def test_collision_detected(self):
         # nu within 1e-10 of an integer collides the momenta p + q = 2 nu
@@ -224,6 +280,24 @@ class TestModeMatrices:
 
         monkeypatch.setattr(kernel_mod, name, perturbed)
         assert rank_one_residual(P_REAL, 6, which) > 1e-10
+
+    @pytest.mark.parametrize("which", ["a", "d"])
+    def test_rank_one_rejects_empty_truncation(self, which):
+        # an empty block has no entry that could fail the identity
+        with pytest.raises(ValueError, match="truncation order"):
+            rank_one_residual(P_REAL, 0, which)
+
+    def test_route_build_takes_one_gamma_root_per_color(self, monkeypatch):
+        # A and D(1): two colors, two log-Gammas each
+        calls = count_ln_gamma(monkeypatch)
+        TauRoute(P_COMPLEX, "fredholm", n_modes=24)
+        assert 0 < len(calls) <= 8
+
+    @pytest.mark.parametrize("which", ["a", "d"])
+    def test_rank_one_takes_one_gamma_root_per_color(self, which, monkeypatch):
+        calls = count_ln_gamma(monkeypatch)
+        rank_one_residual(P_COMPLEX, 6, which)
+        assert 0 < len(calls) <= 8
 
     def test_exponents_carry_the_t_dependence(self):
         t = 0.3 + 0.1j
@@ -264,22 +338,8 @@ class TestPrincipalMinors:
 class TestDeterminant:
     def test_block_form_agrees(self):
         modes = ModeMatrices.build(P_REAL, 0.05, 8)
-        d1, d2 = fredholm_det(modes), fredholm_det_block(modes)
+        d1, d2 = fredholm_det(modes), block_form_det(modes)
         assert d1 == pytest.approx(d2, rel=1e-12)
-
-    def test_adaptive_stabilizes(self):
-        val, n, err = adaptive_fredholm_det(P_REAL, 0.05, tol=1e-12)
-        ref = fredholm_det(ModeMatrices.build(P_REAL, 0.05, 16))
-        assert val == pytest.approx(ref, rel=1e-11)
-        assert err < 1e-12
-
-    def test_adaptive_reports_unconverged_change(self):
-        # at t = 3 the value needs N = 32 to settle; capped at 16 the
-        # estimate is the last change, not zero
-        val, n, err = adaptive_fredholm_det(P_REAL, 3.0, tol=1e-12, max_n=16)
-        assert n == 16
-        assert err > 1e-12
-        assert err == abs(val - fredholm_det(ModeMatrices.build(P_REAL, 3.0, 8)))
 
     def test_empty_truncation_rejected(self):
         with pytest.raises(ValueError):
