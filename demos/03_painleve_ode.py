@@ -14,7 +14,7 @@ u_rr + u_r/r + sin u = 0.
 Each route is built once, as a TauRoute, and evaluated at every point.
 """
 
-from besseltau import MonodromyParams, SeriesTruncation, TauRoute, sine_gordon_residual
+from besseltau import MonodromyParams, SeriesTruncation, TauRoute
 
 params = MonodromyParams.from_nu(0.37, 0.11)
 trunc = SeriesTruncation(weight_cutoff=8, charge_cutoff=3)
@@ -41,6 +41,6 @@ print()
 print("radial sine-Gordon field u(r), q(2^-12 r^4) = -2^-6 r^2 exp(i u)")
 for r in (0.8, 1.2, 1.6):
     u = maya.sine_gordon_map(r)
-    res = sine_gordon_residual(r, params, "maya", trunc=trunc)
+    res = maya.sine_gordon_residual(r)
     print(f"  r = {r:3.1f}   u = {u.real:+.10f}{u.imag:+.10f}j   "
           f"|u_rr + u_r/r + sin u| = {res:.3e}")

@@ -43,12 +43,6 @@ from .tau import (
     TauRoute,
     TauValue,
     cross_validate,
-    ode_residual,
-    painleve_q,
-    sine_gordon_map,
-    sine_gordon_residual,
-    tau,
-    zeta,
 )
 
 __version__ = "0.1.0"
@@ -82,11 +76,5 @@ __all__ = [
     "TauRoute",
     "TauValue",
     "cross_validate",
-    "ode_residual",
-    "painleve_q",
-    "sine_gordon_map",
-    "sine_gordon_residual",
-    "tau",
-    "zeta",
     "__version__",
 ]

@@ -152,6 +152,8 @@ def _validate(cfg, command):
         raise ConfigError(f"cutoffs must be >= 0, got weight {w}, charge {q}")
     if _real_field(cfg["tolerance"], "tolerance") <= 0:
         raise ConfigError(f"tolerance must be > 0, got {cfg['tolerance']!r}")
+    if cfg["output"] is not None and not isinstance(cfg["output"], str):
+        raise ConfigError(f"output must be a path or null, got {cfg['output']!r}")
     if cfg["format"] not in ("csv", "json"):
         raise ConfigError(f"format must be 'csv' or 'json', got {cfg['format']!r}")
     if cfg["format"] == "json" and command != "tau":
@@ -160,11 +162,14 @@ def _validate(cfg, command):
 
 
 def _write(cfg, text):
-    if cfg["output"]:
+    if not cfg["output"]:
+        click.echo(text, nl=False)
+        return
+    try:
         with open(cfg["output"], "w") as fh:
             fh.write(text)
-    else:
-        click.echo(text, nl=False)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from exc
 
 
 def _emit_records(cfg, records):
@@ -182,184 +187,156 @@ def _emit_records(cfg, records):
     _write(cfg, "\n".join(lines) + "\n")
 
 
-class _Fail(Exception):
-    def __init__(self, code, message):
-        super().__init__(message)
-        self.code = code
-
-
-def _run_guarded(fn):
-    try:
-        fn()
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
-    except _Fail as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(exc.code)
-    except BesselTauError as exc:
-        click.echo(f"numerical error: {exc}", err=True)
-        sys.exit(3)
-    except np.linalg.LinAlgError as exc:
-        click.echo(f"numerical error: {exc}", err=True)
-        sys.exit(3)
-
-
-_CONFIG_OPT = click.option(
-    "-c",
-    "--config",
-    "config_path",
-    default=None,
-    help="JSON config file ('-' for stdin); omit for built-in defaults.",
-)
-
-
 @click.group(help=__doc__ + f"\nCSV columns: {CSV_HEADER}")
 def main():
     pass
 
 
-@main.command(name="tau", help="Evaluate tau (and zeta, ODE residual) over the t-grid.")
-@_CONFIG_OPT
-def tau_cmd(config_path):
-    def run():
-        cfg = _load_config(config_path)
-        params, ts, methods, trunc, n_modes = _validate(cfg, "tau")
-        routes = {m: TauRoute(params, m, n_modes, trunc) for m in methods}
-        zroute = routes["maya" if "maya" in methods else methods[0]]
-        col = {"fredholm": "tau_fred", "maya": "tau_maya", "nekrasov": "tau_nek"}
-        records = []
-        for t in ts:
-            rec = dict.fromkeys(CSV_HEADER.split(","))
-            rec["t_re"], rec["t_im"] = t, 0.0
-            est = 0.0
-            for m, route in routes.items():
-                tv = route.tau(t, force=True)
-                rec[f"{col[m]}_re"], rec[f"{col[m]}_im"] = tv.tau.real, tv.tau.imag
-                est = max(est, tv.est_error)
-            if t > 0:
-                z, zp, zpp, _ = zroute.zeta_derivatives(t)
-                rec["zeta_re"], rec["zeta_im"] = z.real, z.imag
-                rec["ode_residual"] = _sigma_form_defect(t, z, zp, zpp)
-            rec["est_error"] = est
-            records.append(rec)
-        _emit_records(cfg, records)
+def _command(name, summary):
+    """Register ``fn(cfg, params, ts, methods, trunc, n_modes)`` as subcommand ``name``.
 
-    _run_guarded(run)
+    The command takes the -c/--config option and validates its config under
+    ``name``; a ConfigError exits 2 and a numerical failure exits 3, each
+    with one line on stderr.
+    """
 
-
-@main.command(help="Emit series coefficients as a table of (exponent, coefficient).")
-@_CONFIG_OPT
-def series(config_path):
-    def run():
-        cfg = _load_config(config_path)
-        params, _, methods, trunc, _ = _validate(cfg, "series")
-        if methods == ["fredholm"]:
-            raise ConfigError("series has no fredholm method; use maya, nekrasov or all")
-        use_maya = methods == ["maya"]
-        terms = (
-            tau_series_terms(params, trunc)
-            if use_maya
-            else z_dual_terms(params, trunc)
+    def register(fn):
+        @main.command(name=name, help=summary)
+        @click.option(
+            "-c",
+            "--config",
+            "config_path",
+            default=None,
+            help="JSON config file ('-' for stdin); omit for built-in defaults.",
         )
-        lines = ["charge,weight,exponent_re,exponent_im,coeff_re,coeff_im"]
-        for n, k, e, c in terms:
-            e, c = complex(e), complex(c)
-            lines.append(
-                f"{n},{k},{_fmt(e.real)},{_fmt(e.imag)},{_fmt(c.real)},{_fmt(c.imag)}"
-            )
-        _write(cfg, "\n".join(lines) + "\n")
+        def command(config_path):
+            try:
+                cfg = _load_config(config_path)
+                fn(cfg, *_validate(cfg, name))
+            except ConfigError as exc:
+                click.echo(f"config error: {exc}", err=True)
+                sys.exit(2)
+            except (BesselTauError, np.linalg.LinAlgError) as exc:
+                click.echo(f"numerical error: {exc}", err=True)
+                sys.exit(3)
 
-    _run_guarded(run)
+        return fn
+
+    return register
 
 
-@main.command(help="Emit closed-form mode matrices and their quadrature comparison.")
-@_CONFIG_OPT
-def modes(config_path):
-    def run():
-        cfg = _load_config(config_path)
-        params, ts, _, _, n_modes = _validate(cfg, "modes")
-        t = ts[0]
-        if t == 0:
-            raise ConfigError("modes needs t_grid.start != 0; the d-kernel is undefined at t = 0")
-        n = min(n_modes, 8)
-        a_closed = mode_matrix_a(params, n)
-        d_closed = mode_matrix_d(params, t, n)
-        a_quad = modes_by_quadrature(
-            lambda zp, z: kernel_a(params, zp, z), n, radius=1.0, block="a"
+@_command("tau", "Evaluate tau (and zeta, ODE residual) over the t-grid.")
+def tau_cmd(cfg, params, ts, methods, trunc, n_modes):
+    routes = {m: TauRoute(params, m, n_modes, trunc) for m in methods}
+    zroute = routes["maya" if "maya" in methods else methods[0]]
+    col = {"fredholm": "tau_fred", "maya": "tau_maya", "nekrasov": "tau_nek"}
+    records = []
+    for t in ts:
+        rec = dict.fromkeys(CSV_HEADER.split(","))
+        rec["t_re"], rec["t_im"] = t, 0.0
+        est = 0.0
+        for m, route in routes.items():
+            tv = route.tau(t, force=True)
+            rec[f"{col[m]}_re"], rec[f"{col[m]}_im"] = tv.tau.real, tv.tau.imag
+            est = max(est, tv.est_error)
+        if t > 0:
+            z, zp, zpp, _ = zroute.zeta_derivatives(t)
+            rec["zeta_re"], rec["zeta_im"] = z.real, z.imag
+            rec["ode_residual"] = _sigma_form_defect(t, z, zp, zpp)
+        rec["est_error"] = est
+        records.append(rec)
+    _emit_records(cfg, records)
+
+
+@_command("series", "Emit series coefficients as a table of (exponent, coefficient).")
+def series(cfg, params, _ts, methods, trunc, _n_modes):
+    if methods == ["fredholm"]:
+        raise ConfigError("series has no fredholm method; use maya, nekrasov or all")
+    use_maya = methods == ["maya"]
+    terms = (
+        tau_series_terms(params, trunc)
+        if use_maya
+        else z_dual_terms(params, trunc)
+    )
+    lines = ["charge,weight,exponent_re,exponent_im,coeff_re,coeff_im"]
+    for n, k, e, c in terms:
+        e, c = complex(e), complex(c)
+        lines.append(
+            f"{n},{k},{_fmt(e.real)},{_fmt(e.imag)},{_fmt(c.real)},{_fmt(c.imag)}"
         )
-        d_quad = modes_by_quadrature(
-            lambda zp, z: kernel_d(params, t, zp, z), n, radius=1.0, block="d"
-        )
-        lines = ["block,row,col,closed_re,closed_im,quad_re,quad_im,abs_diff"]
-        for name, closed, quad in (("a", a_closed, a_quad), ("d", d_closed, d_quad)):
-            for r in range(2 * n):
-                for c in range(2 * n):
-                    lines.append(
-                        f"{name},{r},{c},{_fmt(closed[r, c].real)},"
-                        f"{_fmt(closed[r, c].imag)},{_fmt(quad[r, c].real)},"
-                        f"{_fmt(quad[r, c].imag)},{_fmt(abs(closed[r, c] - quad[r, c]))}"
-                    )
-        _write(cfg, "\n".join(lines) + "\n")
+    _write(cfg, "\n".join(lines) + "\n")
+
+
+@_command("modes", "Emit closed-form mode matrices and their quadrature comparison.")
+def modes(cfg, params, ts, _methods, _trunc, n_modes):
+    t = ts[0]
+    if t == 0:
+        raise ConfigError("modes needs t_grid.start != 0; the d-kernel is undefined at t = 0")
+    n = min(n_modes, 8)
+    a_closed = mode_matrix_a(params, n)
+    d_closed = mode_matrix_d(params, t, n)
+    a_quad = modes_by_quadrature(
+        lambda zp, z: kernel_a(params, zp, z), n, radius=1.0, block="a"
+    )
+    d_quad = modes_by_quadrature(
+        lambda zp, z: kernel_d(params, t, zp, z), n, radius=1.0, block="d"
+    )
+    lines = ["block,row,col,closed_re,closed_im,quad_re,quad_im,abs_diff"]
+    for name, closed, quad in (("a", a_closed, a_quad), ("d", d_closed, d_quad)):
+        for r in range(2 * n):
+            for c in range(2 * n):
+                lines.append(
+                    f"{name},{r},{c},{_fmt(closed[r, c].real)},"
+                    f"{_fmt(closed[r, c].imag)},{_fmt(quad[r, c].real)},"
+                    f"{_fmt(quad[r, c].imag)},{_fmt(abs(closed[r, c] - quad[r, c]))}"
+                )
+    _write(cfg, "\n".join(lines) + "\n")
+    click.echo(
+        f"max |closed - quadrature|: a = {np.max(np.abs(a_closed - a_quad)):.3e}, "
+        f"d = {np.max(np.abs(d_closed - d_quad)):.3e}",
+        err=True,
+    )
+
+
+@_command("convergence", "Refinement study: determinant vs N and series vs weight cutoff.")
+def convergence(cfg, params, ts, _methods, trunc, n_modes):
+    if ts[0] == 0:
+        raise ConfigError("convergence needs t_grid.start != 0; t**exponent is undefined at t = 0")
+    t = complex(ts[0])
+    # one build each: leading blocks of the N build, partial sums of the W table
+    full = ModeMatrices.build(params, t, n_modes)
+    terms = [(w, c * t**e) for (_, w, e, c) in tau_series_terms(params, trunc)]
+    rows = [
+        ("fredholm_N", n, fredholm_det(full.leading(n))) for n in range(2, n_modes + 1, 2)
+    ] + [
+        ("maya_W", w, complex_fsum(v for k, v in terms if k <= w))
+        for w in range(trunc.weight_cutoff + 1)
+    ]
+    lines = ["study,level,value_re,value_im,abs_change"]
+    prev = {}
+    for study, level, val in rows:
+        change = abs(val - prev[study]) if study in prev else float("nan")
+        lines.append(f"{study},{level},{_fmt(val.real)},{_fmt(val.imag)},{_fmt(change)}")
+        prev[study] = val
+    _write(cfg, "\n".join(lines) + "\n")
+
+
+@_command("check", "Run the cross_validate check battery with a pass/fail summary.")
+def check(cfg, params, ts, _methods, trunc, n_modes):
+    t = next((x for x in ts if x > 0), None)
+    if t is None:
+        raise ConfigError("check needs a t_grid point > 0")
+    rows = cross_validate(t, params, n_modes, trunc, cfg["tolerance"])
+    width = max(len(name) for name, *_ in rows)
+    for name, value, tol in rows:
         click.echo(
-            f"max |closed - quadrature|: a = {np.max(np.abs(a_closed - a_quad)):.3e}, "
-            f"d = {np.max(np.abs(d_closed - d_quad)):.3e}",
-            err=True,
+            f"{name:<{width}}  {value:12.3e}  < {tol:.0e}  "
+            f"{'PASS' if value < tol else 'FAIL'}"
         )
-
-    _run_guarded(run)
-
-
-@main.command(help="Refinement study: determinant vs N and series vs weight cutoff.")
-@_CONFIG_OPT
-def convergence(config_path):
-    def run():
-        cfg = _load_config(config_path)
-        params, ts, _, trunc, n_modes = _validate(cfg, "convergence")
-        if ts[0] == 0:
-            raise ConfigError("convergence needs t_grid.start != 0; t**exponent is undefined at t = 0")
-        t = complex(ts[0])
-        # one build each: leading blocks of the N build, partial sums of the W table
-        full = ModeMatrices.build(params, t, n_modes)
-        terms = [(w, c * t**e) for (_, w, e, c) in tau_series_terms(params, trunc)]
-        rows = [
-            ("fredholm_N", n, fredholm_det(full.leading(n))) for n in range(2, n_modes + 1, 2)
-        ] + [
-            ("maya_W", w, complex_fsum(v for k, v in terms if k <= w))
-            for w in range(trunc.weight_cutoff + 1)
-        ]
-        lines = ["study,level,value_re,value_im,abs_change"]
-        prev = {}
-        for study, level, val in rows:
-            change = abs(val - prev[study]) if study in prev else float("nan")
-            lines.append(f"{study},{level},{_fmt(val.real)},{_fmt(val.imag)},{_fmt(change)}")
-            prev[study] = val
-        _write(cfg, "\n".join(lines) + "\n")
-
-    _run_guarded(run)
-
-
-@main.command(help="Run the cross_validate check battery with a pass/fail summary.")
-@_CONFIG_OPT
-def check(config_path):
-    def run():
-        cfg = _load_config(config_path)
-        params, ts, _, trunc, n_modes = _validate(cfg, "check")
-        t = next((x for x in ts if x > 0), None)
-        if t is None:
-            raise ConfigError("check needs a t_grid point > 0")
-        rows = cross_validate(t, params, n_modes, trunc, cfg["tolerance"])
-        width = max(len(name) for name, *_ in rows)
-        for name, value, tol in rows:
-            click.echo(
-                f"{name:<{width}}  {value:12.3e}  < {tol:.0e}  "
-                f"{'PASS' if value < tol else 'FAIL'}"
-            )
-        if not all(value < tol for _, value, tol in rows):
-            raise _Fail(3, "one or more checks failed")
-        click.echo("all checks passed")
-
-    _run_guarded(run)
+    if not all(value < tol for _, value, tol in rows):
+        click.echo("one or more checks failed", err=True)
+        sys.exit(3)
+    click.echo("all checks passed")
 
 
 if __name__ == "__main__":

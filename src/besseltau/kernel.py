@@ -216,7 +216,6 @@ class ModeMatrices:
     a: np.ndarray
     d: np.ndarray
     n: int
-    t: complex
 
     @classmethod
     def build(cls, params: MonodromyParams, t, n: int, branch_sign=None):
@@ -226,14 +225,13 @@ class ModeMatrices:
             a=mode_matrix_a(params, n, branch_sign),
             d=mode_matrix_d(params, t, n, branch_sign),
             n=n,
-            t=complex(t),
         )
 
     def leading(self, n: int) -> "ModeMatrices":
         """The blocks at truncation n <= self.n: by the interleaved ordering,
         the leading 2n x 2n corners."""
         size = 2 * n
-        return ModeMatrices(self.a[:size, :size], self.d[:size, :size], n, self.t)
+        return ModeMatrices(self.a[:size, :size], self.d[:size, :size], n)
 
 
 def modes_by_quadrature(kern, n: int, radius: float, block: str = "a", samples=None) -> np.ndarray:

@@ -9,8 +9,8 @@ Three independent routes compute the same normalized tau function
 
 All three are a t-independent structure (A and D(1) with D(t) =
 D(1) * t**E, or the series records c t^e) evaluated in powers of t.  A
-``TauRoute`` builds it once and evaluates it at every t of a grid; the
-module-level functions build a route for a single point.
+``TauRoute`` builds it once and evaluates it at every t of a grid; for
+a single point, build a route and call it once.
 
 The log-derivatives theta^k log tau_full (theta = t d/dt, prefactor
 included) are exact for every route: one trace formula in the matrices
@@ -59,13 +59,6 @@ __all__ = [
     "METHODS",
     "TauValue",
     "TauRoute",
-    "tau",
-    "zeta",
-    "zeta_derivatives",
-    "ode_residual",
-    "painleve_q",
-    "sine_gordon_map",
-    "sine_gordon_residual",
     "cross_validate",
 ]
 
@@ -133,7 +126,7 @@ class _Determinant:
 
     def modes(self, t: complex):
         """(leading, finer) mode blocks at t, D(t) = D(1) * t**E."""
-        finer = ModeMatrices(self.a, self.d1 * t**self.exps, self.n + 2, t)
+        finer = ModeMatrices(self.a, self.d1 * t**self.exps, self.n + 2)
         return finer.leading(self.n), finer
 
     def values(self, t: complex):
@@ -263,99 +256,19 @@ class TauRoute:
             raise BesselTauError(f"q = 0 at t = {t}; sine-Gordon field undefined")
         return -1j * cmath.log(-(2.0**6) * q / r**2)
 
+    def sine_gordon_residual(self, r) -> float:
+        """Defect |u_rr + u_r / r + sin u|, exact from theta^k log tau at t = 2^{-12} r^4.
 
-# ---------------------------------------------------------------------------
-# Single-point wrappers
-
-
-def tau(
-    t,
-    params: MonodromyParams,
-    method: str = "fredholm",
-    n_modes: int = 12,
-    trunc: SeriesTruncation = None,
-    force: bool = False,
-) -> TauValue:
-    """Normalized tau function at t by one of the three routes (TauRoute.tau)."""
-    return TauRoute(params, method, n_modes, trunc).tau(t, force)
-
-
-def zeta_derivatives(
-    t,
-    params: MonodromyParams,
-    method: str = "maya",
-    n_modes: int = 12,
-    trunc: SeriesTruncation = None,
-):
-    """(zeta, zeta', zeta'', zeta''') at real positive t, exact for every route."""
-    return TauRoute(params, method, n_modes, trunc).zeta_derivatives(t)
-
-
-def zeta(
-    t,
-    params: MonodromyParams,
-    method: str = "maya",
-    n_modes: int = 12,
-    trunc: SeriesTruncation = None,
-) -> complex:
-    """zeta(t) = t d/dt log tau_full, prefactor t^{nu^2} included."""
-    return TauRoute(params, method, n_modes, trunc).theta_log_tau(t)[0]
-
-
-def ode_residual(
-    t,
-    params: MonodromyParams,
-    method: str = "maya",
-    n_modes: int = 12,
-    trunc: SeriesTruncation = None,
-) -> float:
-    """Defect of the sigma-form: |(t zeta'')^2 - 4 zeta'^2 (zeta - t zeta') + 4 zeta'|."""
-    return TauRoute(params, method, n_modes, trunc).ode_residual(t)
-
-
-def painleve_q(
-    t,
-    params: MonodromyParams,
-    method: str = "maya",
-    n_modes: int = 12,
-    trunc: SeriesTruncation = None,
-):
-    """(q, residual) with q = -t zeta' and the degenerate-III defect (TauRoute.painleve_q)."""
-    return TauRoute(params, method, n_modes, trunc).painleve_q(t)
-
-
-# ---------------------------------------------------------------------------
-# Radial sine-Gordon picture
-
-
-def sine_gordon_map(
-    r,
-    params: MonodromyParams,
-    method: str = "maya",
-    trunc: SeriesTruncation = None,
-) -> complex:
-    """Field u(r) with q(2^{-12} r^4) = -2^{-6} r^2 exp(i u(r)) (TauRoute.sine_gordon_map)."""
-    return TauRoute(params, method, trunc=trunc).sine_gordon_map(r)
-
-
-def sine_gordon_residual(
-    r,
-    params: MonodromyParams,
-    method: str = "maya",
-    trunc: SeriesTruncation = None,
-) -> float:
-    """Defect |u_rr + u_r / r + sin u|, exact from theta^k log tau at t = 2^{-12} r^4.
-
-    d/dr = (4/r) theta turns the left side into (16/r^2) theta^2 u +
-    sin u, with theta^2 u = -i theta^2 log q and q, theta q, theta^2 q =
-    -(theta^2, theta^3, theta^4) log tau; e^{iu} = -2^6 q / r^2."""
-    r = _real_positive(r, "sine_gordon_residual requires real r > 0")
-    _, th2, th3, th4 = TauRoute(params, method, trunc=trunc).theta_log_tau(2.0**-12 * r**4)
-    if th2 == 0:
-        raise BesselTauError(f"q = 0 at r = {r}; sine-Gordon field undefined")
-    exp_iu = 2.0**6 * th2 / r**2
-    theta2_u = -1j * (th4 / th2 - (th3 / th2) ** 2)
-    return abs(16 / r**2 * theta2_u + (exp_iu - 1 / exp_iu) / 2j)
+        d/dr = (4/r) theta turns the left side into (16/r^2) theta^2 u +
+        sin u, with theta^2 u = -i theta^2 log q and q, theta q, theta^2 q =
+        -(theta^2, theta^3, theta^4) log tau; e^{iu} = -2^6 q / r^2."""
+        r = _real_positive(r, "sine_gordon_residual requires real r > 0")
+        _, th2, th3, th4 = self.theta_log_tau(2.0**-12 * r**4)
+        if th2 == 0:
+            raise BesselTauError(f"q = 0 at r = {r}; sine-Gordon field undefined")
+        exp_iu = 2.0**6 * th2 / r**2
+        theta2_u = -1j * (th4 / th2 - (th3 / th2) ** 2)
+        return abs(16 / r**2 * theta2_u + (exp_iu - 1 / exp_iu) / 2j)
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from besseltau.partitions import (
     partitions_of,
     young_from_maya,
 )
-from besseltau.tau import ode_residual, painleve_q, tau
+from besseltau.tau import TauRoute
 
 P_GENERIC = MonodromyParams.from_nu(0.37, 0.11)
 P_COMPLEX_ETA = MonodromyParams(0.2 - 0.3j, 0.07 + 0.04j)
@@ -76,7 +76,7 @@ class TestAcceptance:
         trunc = SeriesTruncation(6, 2)
         for t in (0.01, 0.05, 0.1, 0.2):
             vals = {
-                m: tau(t, P_GENERIC, m, n_modes=12, trunc=trunc, force=True)
+                m: TauRoute(P_GENERIC, m, n_modes=12, trunc=trunc).tau(t, force=True)
                 for m in ("fredholm", "maya", "nekrasov")
             }
             worst = max(
@@ -138,17 +138,17 @@ class TestAcceptance:
         """The log-derivative satisfies the sigma-form ODE."""
         trunc = SeriesTruncation(8, 3)
         for t in (0.02, 0.05, 0.1):
-            assert ode_residual(t, P_GENERIC, "maya", trunc=trunc) < 1e-6, f"t = {t}"
+            assert TauRoute(P_GENERIC, "maya", trunc=trunc).ode_residual(t) < 1e-6, f"t = {t}"
             assert (
-                ode_residual(t, P_GENERIC, "fredholm", n_modes=12) < 1e-5
+                TauRoute(P_GENERIC, "fredholm", n_modes=12).ode_residual(t) < 1e-5
             ), f"t = {t}"
 
     def test_09_degenerate_painleve_residual(self):
         """q = -t zeta' satisfies the degenerate Painleve III equation."""
-        _, res = painleve_q(0.05, P_GENERIC, "maya", trunc=SeriesTruncation(8, 3))
+        _, res = TauRoute(P_GENERIC, "maya", trunc=SeriesTruncation(8, 3)).painleve_q(0.05)
         assert res < 1e-5
         p_elem = MonodromyParams.from_nu(0.25, 0.25)
-        q, _ = painleve_q(0.05, p_elem, "fredholm", n_modes=12)
+        q, _ = TauRoute(p_elem, "fredholm", n_modes=12).painleve_q(0.05)
         assert q == pytest.approx(-math.sqrt(0.05), abs=1e-8)
 
     def test_10_quasi_periodicity(self):

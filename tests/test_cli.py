@@ -10,7 +10,7 @@ from click.testing import CliRunner
 from besseltau.cli import CSV_HEADER, main
 from besseltau.monodromy import MonodromyParams
 from besseltau.nekrasov import SeriesTruncation
-from besseltau.tau import cross_validate, tau
+from besseltau.tau import TauRoute, cross_validate
 
 #: t-independent builds of the three routes, by defining module
 BUILDERS = {
@@ -97,6 +97,11 @@ class TestValidation:
             '{"tolerance": -1}',
             '{"tolerance": 0}',
             '{"fd_step": 1e-3}',
+            # a number or true is not a path: open() would take it as a file descriptor
+            '{"output": true}',
+            '{"output": 1}',
+            '{"output": 2}',
+            '{"output": [1]}',
         ],
     )
     def test_bad_value_exits_2(self, runner, tmp_path, payload):
@@ -105,6 +110,12 @@ class TestValidation:
         result = runner.invoke(main, ["tau", "-c", str(path)])
         assert result.exit_code == 2, result.output
         assert "config error" in result.output
+
+    def test_unwritable_output_exits_2(self, runner, tmp_path):
+        cfg = _config(tmp_path, {"output": str(tmp_path / "missing" / "out.csv")})
+        result = runner.invoke(main, ["tau", "-c", cfg])
+        assert result.exit_code == 2, result.output
+        assert "config error: cannot write output" in result.output
 
     @pytest.mark.parametrize(
         "grid",
@@ -281,7 +292,7 @@ class TestOtherSubcommands:
         last = [row for row in rows if row[0] == "maya_W"][-1]
         assert last[1] == "5"
         params = MonodromyParams(-0.13, 0.11)
-        expected = tau(0.05, params, "maya", trunc=SeriesTruncation(5, 2)).tau
+        expected = TauRoute(params, "maya", trunc=SeriesTruncation(5, 2)).tau(0.05).tau
         assert complex(float(last[2]), float(last[3])) == expected
 
     def test_check_prints_cross_validate_rows(self, runner):

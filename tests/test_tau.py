@@ -17,13 +17,6 @@ from besseltau.tau import (
     TauRoute,
     TauValue,
     cross_validate,
-    ode_residual,
-    painleve_q,
-    sine_gordon_map,
-    sine_gordon_residual,
-    tau,
-    zeta,
-    zeta_derivatives,
 )
 
 P_GENERIC = MonodromyParams.from_nu(0.37, 0.11)
@@ -49,9 +42,9 @@ def stencil_theta(t, params, h, n_modes=12):
     keeps the t^{nu^2} prefactor exactly linear in s.
     """
     delta = h / max(t, 0.05)
+    route = TauRoute(params, "fredholm", n_modes)
     f = [
-        params.nu**2 * math.log(x)
-        + cmath.log(tau(x, params, "fredholm", n_modes=n_modes, force=True).tau)
+        params.nu**2 * math.log(x) + cmath.log(route.tau(x, force=True).tau)
         for x in (t * math.exp(k * delta) for k in range(-3, 4))
     ]
     return tuple(
@@ -62,7 +55,7 @@ def stencil_theta(t, params, h, n_modes=12):
 
 def exact_theta(t, params, method, **kwargs):
     """theta^k log tau_full from the package's zeta derivatives."""
-    z, zp, zpp, zppp = zeta_derivatives(t, params, method, **kwargs)
+    z, zp, zpp, zppp = TauRoute(params, method, **kwargs).zeta_derivatives(t)
     th2 = t * zp
     th3 = t**2 * zpp + th2
     th4 = t**3 * zppp + 3 * th3 - 2 * th2
@@ -82,47 +75,45 @@ class TestTauValue:
 class TestTau:
     @pytest.mark.parametrize("method", METHODS)
     def test_normalization_at_origin(self, method):
-        tv = tau(0.0, P_GENERIC, method, trunc=TRUNC)
+        tv = TauRoute(P_GENERIC, method, trunc=TRUNC).tau(0.0)
         assert tv.tau == 1 and tv.est_error == 0
 
     def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            tau(0.05, P_GENERIC, "lax")
+        with pytest.raises(ValueError, match="unknown method"):
+            TauRoute(P_GENERIC, "lax")
 
     def test_reliable_region_warning(self):
         with pytest.warns(UserWarning, match="reliable radius"):
-            tau(0.7, P_GENERIC, "maya", trunc=TRUNC)
+            TauRoute(P_GENERIC, "maya", trunc=TRUNC).tau(0.7)
 
     def test_force_suppresses_warning(self):
         import warnings
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            tau(0.7, P_GENERIC, "maya", trunc=TRUNC, force=True)
+            TauRoute(P_GENERIC, "maya", trunc=TRUNC).tau(0.7, force=True)
 
     def test_est_error_brackets_truth(self):
-        coarse = tau(0.05, P_GENERIC, "maya", trunc=SeriesTruncation(4, 2))
-        fine = tau(0.05, P_GENERIC, "maya", trunc=SeriesTruncation(10, 3))
+        coarse = TauRoute(P_GENERIC, "maya", trunc=SeriesTruncation(4, 2)).tau(0.05)
+        fine = TauRoute(P_GENERIC, "maya", trunc=SeriesTruncation(10, 3)).tau(0.05)
         assert abs(coarse.tau - fine.tau) < 10 * coarse.est_error
 
     @pytest.mark.parametrize("n_modes", [0, -1])
     def test_empty_truncation_rejected(self, n_modes):
         with pytest.raises(ValueError, match="n_modes"):
-            tau(0.05, P_GENERIC, "fredholm", n_modes=n_modes)
-        with pytest.raises(ValueError):
-            zeta_derivatives(0.05, P_GENERIC, "fredholm", n_modes=n_modes)
+            TauRoute(P_GENERIC, "fredholm", n_modes=n_modes)
 
     def test_finer_truncation_shared(self):
         # the value is read off the finer truncation; its blocks and terms
         # equal separate coarse builds, so only the determinant's last ulp
         # may move
         t = 0.05
-        tv = tau(t, P_GENERIC, "fredholm", n_modes=8)
+        tv = TauRoute(P_GENERIC, "fredholm", n_modes=8).tau(t)
         alone = fredholm_det(ModeMatrices.build(P_GENERIC, t, 8))
         assert tv.tau == pytest.approx(alone, rel=1e-15)
         finer = fredholm_det(ModeMatrices.build(P_GENERIC, t, 10))
         assert tv.est_error == pytest.approx(abs(finer - alone), rel=1e-6, abs=1e-15)
-        tv = tau(t, P_GENERIC, "maya", trunc=TRUNC)
+        tv = TauRoute(P_GENERIC, "maya", trunc=TRUNC).tau(t)
 
         def series_sum(trunc):
             return complex_fsum(c * complex(t) ** e for (_, _, e, c) in tau_series_terms(P_GENERIC, trunc))
@@ -132,30 +123,13 @@ class TestTau:
         assert tv.est_error == abs(finer - tv.tau)
 
     def test_truncation_metadata(self):
-        tv = tau(0.05, P_GENERIC, "fredholm", n_modes=6)
+        tv = TauRoute(P_GENERIC, "fredholm", n_modes=6).tau(0.05)
         assert tv.truncation == {"n_modes": 6}
-        tv = tau(0.05, P_GENERIC, "nekrasov", trunc=TRUNC)
+        tv = TauRoute(P_GENERIC, "nekrasov", trunc=TRUNC).tau(0.05)
         assert tv.truncation == {"weight_cutoff": 6, "charge_cutoff": 2}
 
 
 class TestTauRoute:
-    @pytest.mark.parametrize("method", METHODS)
-    def test_route_matches_single_point_calls(self, method):
-        route = TauRoute(P_GENERIC, method, n_modes=10, trunc=TRUNC)
-        for t in (0.0, 0.01, 0.05, 0.2 + 0.1j, 0.45):
-            assert route.tau(t) == tau(t, P_GENERIC, method, n_modes=10, trunc=TRUNC)
-        for t in (0.02, 0.3):
-            assert route.zeta_derivatives(t) == zeta_derivatives(
-                t, P_GENERIC, method, n_modes=10, trunc=TRUNC
-            )
-            assert route.theta_log_tau(t)[0] == zeta(t, P_GENERIC, method, n_modes=10, trunc=TRUNC)
-
-    def test_rejects_bad_route(self):
-        with pytest.raises(ValueError, match="unknown method"):
-            TauRoute(P_GENERIC, "lax")
-        with pytest.raises(ValueError, match="n_modes"):
-            TauRoute(P_GENERIC, "fredholm", n_modes=0)
-
     @pytest.mark.parametrize("method", ["maya", "nekrasov"])
     def test_series_build_makes_no_diagram_objects(self, method, monkeypatch):
         # the series structure is integer tables over row tuples; building a
@@ -186,7 +160,7 @@ class TestTauRoute:
 class TestZeta:
     def test_requires_positive_t(self):
         with pytest.raises(ValueError):
-            zeta(-0.1, P_GENERIC, "maya", trunc=TRUNC)
+            TauRoute(P_GENERIC, "maya", trunc=TRUNC).theta_log_tau(-0.1)
 
     @pytest.mark.parametrize(
         "t", [0.05 + 0.1j, np.complex128(0.05 + 0.1j)], ids=["complex", "complex128"]
@@ -195,26 +169,24 @@ class TestZeta:
         # a complex128 would otherwise be cut to its real part
         with pytest.raises(ValueError, match="real t > 0"):
             TauRoute(P_GENERIC, "maya", trunc=TRUNC).theta_log_tau(t)
-        with pytest.raises(ValueError, match="real t > 0"):
-            zeta(t, P_GENERIC, "maya", trunc=TRUNC)
 
     def test_elementary_solution(self):
         t = 0.05
         expected = 1 / 16 + 2 * math.sqrt(t)
-        assert zeta(t, P_ELEM_PLUS, "nekrasov", trunc=TRUNC_FINE) == pytest.approx(
-            expected, rel=1e-12
-        )
+        route = TauRoute(P_ELEM_PLUS, "nekrasov", trunc=TRUNC_FINE)
+        assert route.theta_log_tau(t)[0] == pytest.approx(expected, rel=1e-12)
 
     def test_small_t_limit(self):
         # zeta -> nu^2, with the correction decaying like t^{1 - 2 nu}
-        d4 = abs(zeta(1e-4, P_GENERIC, "maya", trunc=TRUNC) - P_GENERIC.nu**2)
-        d6 = abs(zeta(1e-6, P_GENERIC, "maya", trunc=TRUNC) - P_GENERIC.nu**2)
+        route = TauRoute(P_GENERIC, "maya", trunc=TRUNC)
+        d4 = abs(route.theta_log_tau(1e-4)[0] - P_GENERIC.nu**2)
+        d6 = abs(route.theta_log_tau(1e-6)[0] - P_GENERIC.nu**2)
         assert d6 < d4 < 0.05
         assert d6 / d4 == pytest.approx(1e-2 ** (1 - 2 * 0.37), rel=0.05)
 
     def test_stencil_matches_analytic(self):
         t = 0.05
-        analytic = zeta(t, P_GENERIC, "maya", trunc=SeriesTruncation(9, 3))
+        analytic = TauRoute(P_GENERIC, "maya", trunc=SeriesTruncation(9, 3)).theta_log_tau(t)[0]
         stencil = stencil_theta(t, P_GENERIC, h=1e-3)[0]
         assert stencil == pytest.approx(analytic, abs=1e-10)
 
@@ -231,21 +203,21 @@ class TestZeta:
 
     @pytest.mark.parametrize("t", [0.02, 0.05, 0.1])
     def test_fredholm_matches_series(self, t):
-        fred = zeta_derivatives(t, P_GENERIC, "fredholm", n_modes=12)
-        maya = zeta_derivatives(t, P_GENERIC, "maya", trunc=SeriesTruncation(9, 3))
+        fred = TauRoute(P_GENERIC, "fredholm", n_modes=12).zeta_derivatives(t)
+        maya = TauRoute(P_GENERIC, "maya", trunc=SeriesTruncation(9, 3)).zeta_derivatives(t)
         for k, (f, m, tol) in enumerate(zip(fred, maya, (1e-13, 1e-12, 1e-10, 1e-8))):
             assert abs(f - m) < tol, f"zeta derivative {k}"
 
     def test_derivative_consistency(self):
         # analytic zeta' against a numerical derivative of analytic zeta
         t, h = 0.05, 1e-4
-        trunc = SeriesTruncation(9, 3)
-        _, zp, zpp, zppp = zeta_derivatives(t, P_GENERIC, "maya", trunc=trunc)
+        route = TauRoute(P_GENERIC, "maya", trunc=SeriesTruncation(9, 3))
+        _, zp, zpp, zppp = route.zeta_derivatives(t)
         fd = (
-            zeta(t - 2 * h, P_GENERIC, "maya", trunc=trunc)
-            - 8 * zeta(t - h, P_GENERIC, "maya", trunc=trunc)
-            + 8 * zeta(t + h, P_GENERIC, "maya", trunc=trunc)
-            - zeta(t + 2 * h, P_GENERIC, "maya", trunc=trunc)
+            route.theta_log_tau(t - 2 * h)[0]
+            - 8 * route.theta_log_tau(t - h)[0]
+            + 8 * route.theta_log_tau(t + h)[0]
+            - route.theta_log_tau(t + 2 * h)[0]
         ) / (12 * h)
         assert fd == pytest.approx(zp, rel=1e-10)
         assert zppp is not None
@@ -253,72 +225,73 @@ class TestZeta:
 
 class TestResiduals:
     def test_sigma_form_elementary(self):
-        assert ode_residual(0.05, P_ELEM_PLUS, "nekrasov", trunc=TRUNC_FINE) < 1e-10
+        assert TauRoute(P_ELEM_PLUS, "nekrasov", trunc=TRUNC_FINE).ode_residual(0.05) < 1e-10
 
     def test_q_elementary(self):
         t = 0.05
-        q, res = painleve_q(t, P_ELEM_PLUS, "nekrasov", trunc=TRUNC_FINE)
+        q, res = TauRoute(P_ELEM_PLUS, "nekrasov", trunc=TRUNC_FINE).painleve_q(t)
         assert q == pytest.approx(-math.sqrt(t), rel=1e-10)
         assert res < 1e-9
 
     def test_q_generic(self):
-        q, res = painleve_q(0.05, P_GENERIC, "maya", trunc=SeriesTruncation(8, 3))
+        q, res = TauRoute(P_GENERIC, "maya", trunc=SeriesTruncation(8, 3)).painleve_q(0.05)
         assert res < 1e-8
 
     def test_q_fredholm_stencil(self):
         t = 0.05
-        q_series, _ = painleve_q(t, P_GENERIC, "maya", trunc=SeriesTruncation(8, 3))
-        q_fred, res = painleve_q(t, P_GENERIC, "fredholm", n_modes=12)
+        q_series, _ = TauRoute(P_GENERIC, "maya", trunc=SeriesTruncation(8, 3)).painleve_q(t)
+        q_fred, res = TauRoute(P_GENERIC, "fredholm", n_modes=12).painleve_q(t)
         assert q_fred == pytest.approx(q_series, abs=1e-9)
         assert q_fred == pytest.approx(-stencil_theta(t, P_GENERIC, h=1e-3)[1], abs=1e-9)
         assert res < 1e-4
 
     @pytest.mark.parametrize("t", [0.02, 0.05, 0.1])
     def test_sigma_form_fredholm_exact(self, t):
-        assert ode_residual(t, P_GENERIC, "fredholm", n_modes=12) < 1e-12
+        assert TauRoute(P_GENERIC, "fredholm", n_modes=12).ode_residual(t) < 1e-12
 
 
 class TestSineGordon:
     def test_elementary_field_vanishes(self):
-        u = sine_gordon_map(1.2, P_ELEM_PLUS, "nekrasov", trunc=TRUNC_FINE)
+        u = TauRoute(P_ELEM_PLUS, "nekrasov", trunc=TRUNC_FINE).sine_gordon_map(1.2)
         assert abs(u) < 1e-12
 
     def test_requires_positive_radius(self):
         with pytest.raises(ValueError):
-            sine_gordon_map(-1.0, P_GENERIC)
+            TauRoute(P_GENERIC, "maya").sine_gordon_map(-1.0)
 
     @pytest.mark.parametrize(
         "r", [1.2 + 0.1j, np.complex128(1.2 + 0.1j)], ids=["complex", "complex128"]
     )
     def test_rejects_complex_radius(self, r):
         with pytest.raises(ValueError, match="real r > 0"):
-            sine_gordon_map(r, P_GENERIC, trunc=TRUNC)
+            TauRoute(P_GENERIC, "maya", trunc=TRUNC).sine_gordon_map(r)
 
     def test_real_field_for_unimodular_ratio(self):
         # elementary eta = 0 solution: q real negative, modulus matched
         p = MonodromyParams.from_nu(0.25, 0.0)
-        u = sine_gordon_map(0.9, p, "nekrasov", trunc=TRUNC_FINE)
+        u = TauRoute(p, "nekrasov", trunc=TRUNC_FINE).sine_gordon_map(0.9)
         assert abs(u.imag / max(abs(u), 1e-3)) < 1e-10
 
     def test_field_equation_residual(self):
-        assert sine_gordon_residual(1.2, P_GENERIC, "maya", trunc=TRUNC_FINE) < 1e-4
+        assert TauRoute(P_GENERIC, "maya", trunc=TRUNC_FINE).sine_gordon_residual(1.2) < 1e-4
 
     def test_field_equation_residual_is_exact(self):
         # t = 6^4 / 4096 = 0.32: the converged determinant satisfies the
         # equation to rounding; a one-box series does not, so the check can fail
-        assert sine_gordon_residual(6.0, P_GENERIC, "fredholm") < 1e-12
-        assert sine_gordon_residual(6.0, P_GENERIC, "maya", trunc=SeriesTruncation(1, 1)) > 1e-3
+        assert TauRoute(P_GENERIC, "fredholm").sine_gordon_residual(6.0) < 1e-12
+        coarse = TauRoute(P_GENERIC, "maya", trunc=SeriesTruncation(1, 1))
+        assert coarse.sine_gordon_residual(6.0) > 1e-3
 
     @pytest.mark.parametrize(
         "r", [1.2 + 0.5j, np.complex128(1.2 + 0.5j)], ids=["complex", "complex128"]
     )
     def test_residual_rejects_complex_radius(self, r):
         with pytest.raises(ValueError, match="real r > 0"):
-            sine_gordon_residual(r, P_GENERIC, trunc=TRUNC)
+            TauRoute(P_GENERIC, "maya", trunc=TRUNC).sine_gordon_residual(r)
 
     def test_fredholm_field_matches_series(self):
-        u_fred = sine_gordon_map(1.2, P_GENERIC, "fredholm")
-        u_maya = sine_gordon_map(1.2, P_GENERIC, "maya", trunc=TRUNC_FINE)
+        u_fred = TauRoute(P_GENERIC, "fredholm").sine_gordon_map(1.2)
+        u_maya = TauRoute(P_GENERIC, "maya", trunc=TRUNC_FINE).sine_gordon_map(1.2)
         assert u_fred == pytest.approx(u_maya, abs=1e-10)
 
 
