@@ -10,10 +10,9 @@ then converges superexponentially in the truncation order N, and the
 import numpy as np
 
 from besseltau import (
-    ModeMatrices,
     MonodromyParams,
     SeriesTruncation,
-    fredholm_det,
+    TauRoute,
     kernel_a,
     kernel_d,
     mode_matrix_a,
@@ -26,8 +25,8 @@ params = MonodromyParams.from_nu(0.37, 0.11)
 t = 0.05
 
 print("closed-form modes versus quadrature extraction (N = 6)")
-quad_a = modes_by_quadrature(lambda zp, z: kernel_a(params, zp, z), 6, 1.0, "a")
-quad_d = modes_by_quadrature(lambda zp, z: kernel_d(params, t, zp, z), 6, 1.0, "d")
+quad_a = modes_by_quadrature(lambda zp, z: kernel_a(params, zp, z), 6, "a")
+quad_d = modes_by_quadrature(lambda zp, z: kernel_d(params, t, zp, z), 6, "d")
 print(f"  max |A_quad - A_closed| = "
       f"{np.max(np.abs(quad_a - mode_matrix_a(params, 6))):.3e}")
 print(f"  max |D_quad - D_closed| = "
@@ -38,11 +37,11 @@ print(f"determinant refinement at t = {t}")
 print(f"{'N':>4} {'det(I - A D)':>36} {'change':>12} {'block form diff':>16}")
 prev = None
 for n in (2, 4, 6, 8, 10, 12):
-    modes = ModeMatrices.build(params, t, n)
-    det = fredholm_det(modes)
+    det = TauRoute(params, "fredholm", n_modes=n).tau(t).tau
     # the same determinant from the 4N x 4N block form [[I, -A], [-D, I]]
     eye = np.eye(2 * n)
-    block = np.linalg.det(np.block([[eye, -modes.a], [-modes.d, eye]]))
+    a, d = mode_matrix_a(params, n), mode_matrix_d(params, t, n)
+    block = np.linalg.det(np.block([[eye, -a], [-d, eye]]))
     change = "" if prev is None else f"{abs(det - prev):12.3e}"
     print(f"{n:4d} {det.real:18.15f} {det.imag:+17.15f}j {change:>12} "
           f"{abs(det - block):16.3e}")
@@ -60,4 +59,4 @@ for w in range(9):
     print(f"{w:4d} {val.real:18.15f} {val.imag:+17.15f}j {change:>12}")
     prev = val
 print()
-print(f"determinant minus series: {abs(fredholm_det(ModeMatrices.build(params, t, 12)) - prev):.3e}")
+print(f"determinant minus series: {abs(TauRoute(params, 'fredholm', n_modes=12).tau(t).tau - prev):.3e}")

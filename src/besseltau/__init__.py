@@ -15,9 +15,7 @@ from .errors import (
     QuadratureConvergenceError,
 )
 from .kernel import (
-    ModeMatrices,
     bessel_kernel_J,
-    fredholm_det,
     kernel_a,
     kernel_d,
     mode_matrix_a,
@@ -54,9 +52,7 @@ __all__ = [
     "DegenerateParameterError",
     "PoleError",
     "QuadratureConvergenceError",
-    "ModeMatrices",
     "bessel_kernel_J",
-    "fredholm_det",
     "kernel_a",
     "kernel_d",
     "mode_matrix_a",

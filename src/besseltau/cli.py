@@ -18,15 +18,7 @@ import click
 import numpy as np
 
 from .errors import BesselTauError, ConfigError
-from .kernel import (
-    ModeMatrices,
-    fredholm_det,
-    kernel_a,
-    kernel_d,
-    mode_matrix_a,
-    mode_matrix_d,
-    modes_by_quadrature,
-)
+from .kernel import kernel_a, kernel_d, mode_matrix_a, mode_matrix_d, modes_by_quadrature
 from .monodromy import MonodromyParams
 from .nekrasov import SeriesTruncation, complex_fsum, tau_series_terms, z_dual_terms
 from .tau import METHODS, TauRoute, _sigma_form_defect, cross_validate
@@ -85,10 +77,13 @@ def _load_config(path):
 
 
 def _real_field(val, name) -> float:
+    """A JSON number, int or float but not bool, as a finite float."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {val!r}")
     try:
         x = float(val)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} must be a number, got {val!r}") from exc
+    except OverflowError:
+        x = math.inf
     if not math.isfinite(x):
         raise ConfigError(f"{name} must be finite, got {val!r}")
     return x
@@ -126,8 +121,8 @@ def _validate(cfg, command):
         raise ConfigError(f"t_grid.count must be >= 1, got {count}")
     if spacing not in ("linear", "log"):
         raise ConfigError(f"t_grid.spacing must be 'linear' or 'log', got {spacing!r}")
-    if spacing == "log" and start <= 0:
-        raise ConfigError(f"t_grid.start must be > 0 for log spacing, got {start}")
+    if spacing == "log" and min(start, stop) <= 0:
+        raise ConfigError(f"log spacing needs t_grid.start and stop > 0, got {start}, {stop}")
     if count == 1:
         ts = [start]
     elif spacing == "linear":
@@ -275,12 +270,8 @@ def modes(cfg, params, ts, _methods, _trunc, n_modes):
     n = min(n_modes, 8)
     a_closed = mode_matrix_a(params, n)
     d_closed = mode_matrix_d(params, t, n)
-    a_quad = modes_by_quadrature(
-        lambda zp, z: kernel_a(params, zp, z), n, radius=1.0, block="a"
-    )
-    d_quad = modes_by_quadrature(
-        lambda zp, z: kernel_d(params, t, zp, z), n, radius=1.0, block="d"
-    )
+    a_quad = modes_by_quadrature(lambda zp, z: kernel_a(params, zp, z), n, block="a")
+    d_quad = modes_by_quadrature(lambda zp, z: kernel_d(params, t, zp, z), n, block="d")
     lines = ["block,row,col,closed_re,closed_im,quad_re,quad_im,abs_diff"]
     for name, closed, quad in (("a", a_closed, a_quad), ("d", d_closed, d_quad)):
         for r in range(2 * n):
@@ -303,11 +294,11 @@ def convergence(cfg, params, ts, _methods, trunc, n_modes):
     if ts[0] == 0:
         raise ConfigError("convergence needs t_grid.start != 0; t**exponent is undefined at t = 0")
     t = complex(ts[0])
-    # one build each: leading blocks of the N build, partial sums of the W table
-    full = ModeMatrices.build(params, t, n_modes)
+    # the determinant from one route per N, the series as partial sums of one W table
     terms = [(w, c * t**e) for (_, w, e, c) in tau_series_terms(params, trunc)]
     rows = [
-        ("fredholm_N", n, fredholm_det(full.leading(n))) for n in range(2, n_modes + 1, 2)
+        ("fredholm_N", n, TauRoute(params, "fredholm", n).tau(t, force=True).tau)
+        for n in range(2, n_modes + 1, 2)
     ] + [
         ("maya_W", w, complex_fsum(v for k, v in terms if k <= w))
         for w in range(trunc.weight_cutoff + 1)

@@ -1,4 +1,4 @@
-"""The generalized Bessel kernel and its Fredholm determinant.
+"""The generalized Bessel kernel and its Fourier modes.
 
 Two faces of the same operator K = [[0, a], [d, 0]]:
 
@@ -20,8 +20,8 @@ basis.  The mode blocks come in three layers:
   Pochhammer symbols as one cumulative product;
 * evaluation: ``_cauchy_block`` is one broadcast psi x psibar / (p + q +
   (s - s') nu) times the twist phase, for A and for D(1), and
-  D(t) = D(1) * t**E with the exponents ``mode_exponents``; the
-  determinant is one LU factorization.
+  D(t) = D(1) * t**E with the exponents ``mode_exponents``; ``TauRoute``
+  takes det(I - A D) from one such build.
 
 Fourier modes extracted from circle samples of the continuous kernels
 (``modes_by_quadrature``) serve as an independent cross-check of the
@@ -30,7 +30,6 @@ arg in (-pi, pi].
 """
 
 import cmath
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,14 +38,12 @@ from .monodromy import MonodromyParams, check_off_lattice
 from .special import j_sigma, ln_gamma
 
 __all__ = [
-    "ModeMatrices",
     "bessel_kernel_J",
     "kernel_a",
     "kernel_d",
     "mode_matrix_a",
     "mode_matrix_d",
     "modes_by_quadrature",
-    "fredholm_det",
     "rank_one_residual",
     "mode_exponents",
 ]
@@ -209,51 +206,27 @@ def mode_matrix_d(params: MonodromyParams, t, n: int, branch_sign=None) -> np.nd
     return core * t ** mode_exponents(params.nu, n)
 
 
-@dataclass(frozen=True)
-class ModeMatrices:
-    """Truncated Fourier-mode blocks of K at truncation order N."""
-
-    a: np.ndarray
-    d: np.ndarray
-    n: int
-
-    @classmethod
-    def build(cls, params: MonodromyParams, t, n: int, branch_sign=None):
-        if n < 1:
-            raise ValueError(f"truncation order must be >= 1, got {n}")
-        return cls(
-            a=mode_matrix_a(params, n, branch_sign),
-            d=mode_matrix_d(params, t, n, branch_sign),
-            n=n,
-        )
-
-    def leading(self, n: int) -> "ModeMatrices":
-        """The blocks at truncation n <= self.n: by the interleaved ordering,
-        the leading 2n x 2n corners."""
-        size = 2 * n
-        return ModeMatrices(self.a[:size, :size], self.d[:size, :size], n)
-
-
-def modes_by_quadrature(kern, n: int, radius: float, block: str = "a", samples=None) -> np.ndarray:
-    """Extract mode matrices from circle samples of a continuous kernel.
+def modes_by_quadrature(kern, n: int, block: str = "a") -> np.ndarray:
+    """Extract mode matrices from samples of a continuous kernel on the unit circle.
 
     ``kern`` is a callable (z', z) -> 2x2 array that broadcasts: it is
     called once, on a column of z' against a row of z, and must return
-    the 2x2 samples in its last two axes.  The z' grid is offset by half a
-    step so the removable diagonal z = z' is never sampled.  For
-    block 'a' the coefficients of z'^{p-1/2} z^{q-1/2} are returned in the
-    layout of mode_matrix_a; for 'd', the coefficients of
-    z'^{-1/2-q} z^{-1/2-p} in the layout of mode_matrix_d.
+    the 2x2 samples in its last two axes.  Each grid has max(64, 8n)
+    points, and the z' grid is offset by half a step so the removable
+    diagonal z = z' is never sampled.  For block 'a' the coefficients of
+    z'^{p-1/2} z^{q-1/2} are returned in the layout of mode_matrix_a; for
+    'd', the coefficients of z'^{-1/2-q} z^{-1/2-p} in the layout of
+    mode_matrix_d.
 
     Raises QuadratureConvergenceError when the sampled mode spectrum has
     not decayed below 1e-10 (relative) at the Nyquist index.
     """
     if block not in ("a", "d"):
         raise ValueError("block must be 'a' or 'd'")
-    m = samples or max(64, 8 * n)
+    m = max(64, 8 * n)
     theta = 2 * np.pi * np.arange(m) / m
-    zp = radius * np.exp(1j * (theta + np.pi / m))
-    z = radius * np.exp(1j * theta)
+    zp = np.exp(1j * (theta + np.pi / m))
+    z = np.exp(1j * theta)
     modes = np.fft.fft2(kern(zp[:, None], z[None, :]), axes=(0, 1)) / m**2
 
     top = np.max(np.abs(modes))
@@ -269,20 +242,9 @@ def modes_by_quadrature(kern, n: int, radius: float, block: str = "a", samples=N
     # indexes the output's column modes, the z power its row modes
     mzp = mz = k if block == "a" else -1 - k
     coef = modes[np.ix_(mzp % m, mz % m)] * np.exp(-1j * np.pi * mzp / m)[:, None, None, None]
-    coef = coef / (float(radius) ** (mzp[:, None] + mz[None, :]))[..., None, None]
     # kernel colors (row, column) land transposed in both layouts:
     # A[(q,s),(p,s')] from row s', column s; D[(p,s'),(q,s)] from row s, column s'
     return coef.transpose(1, 3, 0, 2).reshape(2 * n, 2 * n)
-
-
-# ---------------------------------------------------------------------------
-# Determinants
-
-
-def fredholm_det(modes: ModeMatrices) -> complex:
-    """det(I - A D) by LU factorization with partial pivoting."""
-    size = 2 * modes.n
-    return complex(np.linalg.det(np.eye(size) - modes.a @ modes.d))
 
 
 def rank_one_residual(params: MonodromyParams, n: int, which: str = "a") -> float:

@@ -34,8 +34,6 @@ import numpy as np
 
 from .errors import BesselTauError
 from .kernel import (
-    ModeMatrices,
-    fredholm_det,
     kernel_a,
     kernel_d,
     mode_exponents,
@@ -124,21 +122,24 @@ class _Determinant:
         self.d1 = mode_matrix_d(params, 1.0, n + 2)
         self.exps = mode_exponents(params.nu, n + 2)
 
-    def modes(self, t: complex):
-        """(leading, finer) mode blocks at t, D(t) = D(1) * t**E."""
-        finer = ModeMatrices(self.a, self.d1 * t**self.exps, self.n + 2)
-        return finer.leading(self.n), finer
+    def corners(self, t: complex, *orders):
+        """(A, D(t), E) of truncation k for each k in ``orders``: by the
+        interleaved mode order, the leading 2k x 2k corners of this build."""
+        d = self.d1 * t**self.exps
+        return [tuple(x[:2 * k, :2 * k] for x in (self.a, d, self.exps)) for k in orders]
 
     def values(self, t: complex):
-        return tuple(fredholm_det(m) for m in self.modes(t))
+        """det(I - A D) at n and n + 2 modes, one LU factorization each."""
+        return tuple(
+            complex(np.linalg.det(np.eye(len(a)) - a @ d))
+            for a, d, _ in self.corners(t, self.n, self.n + 2)
+        )
 
     def moments(self, t: complex):
         """B_k = -M^{-1} A (E^k * D) with M = I - A D, since theta^k D = E^k * D."""
-        modes, _ = self.modes(t)
-        size = 2 * self.n
-        exps = self.exps[:size, :size]
-        m = np.eye(size) - modes.a @ modes.d
-        rhs = np.hstack([modes.a @ (exps**k * modes.d) for k in range(1, 5)])
+        [(a, d, exps)] = self.corners(t, self.n)
+        m = np.eye(len(a)) - a @ d
+        rhs = np.hstack([a @ (exps**k * d) for k in range(1, 5)])
         return np.hsplit(-np.linalg.solve(m, rhs), 4)
 
 
@@ -197,7 +198,10 @@ class TauRoute:
 
     def tau(self, t, force: bool = False) -> TauValue:
         """Normalized tau at t, est_error the change to the finer truncation;
-        warns beyond |t| = DEFAULT_RELIABLE_RADIUS unless ``force``."""
+        warns beyond |t| = DEFAULT_RELIABLE_RADIUS unless ``force``.
+
+        Raises BesselTauError when the evaluation overflows or either
+        truncation is not finite."""
         t = complex(t)
         if t == 0:
             return TauValue(t, 1.0 + 0.0j, self.method, dict(self.truncation), 0.0)
@@ -207,7 +211,13 @@ class TauRoute:
                 "truncation error estimates may be optimistic",
                 stacklevel=2,
             )
-        val, finer = self._structure.values(t)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                val, finer = self._structure.values(t)
+        except ArithmeticError as exc:
+            raise BesselTauError(f"tau overflows at t = {t}: {exc}") from exc
+        if not (cmath.isfinite(val) and cmath.isfinite(finer)):
+            raise BesselTauError(f"tau is not finite at t = {t}")
         return TauValue(t, val, self.method, dict(self.truncation), abs(val - finer))
 
     def theta_log_tau(self, t):
@@ -293,10 +303,8 @@ def cross_validate(
     t = _real_positive(t, "cross_validate requires real t > 0")
     trunc = trunc or SeriesTruncation()
     n = 4
-    quad_a = modes_by_quadrature(lambda zp, z: kernel_a(params, zp, z), n, radius=1.0)
-    quad_d = modes_by_quadrature(
-        lambda zp, z: kernel_d(params, t, zp, z), n, radius=1.0, block="d"
-    )
+    quad_a = modes_by_quadrature(lambda zp, z: kernel_a(params, zp, z), n)
+    quad_d = modes_by_quadrature(lambda zp, z: kernel_d(params, t, zp, z), n, block="d")
     lemmas = check_lemma_identities(params.nu, weight_cutoff=3, charge_cutoff=2)
     routes = {m: TauRoute(params, m, n_modes, trunc) for m in METHODS}
     vals = {m: route.tau(t, force=True).tau for m, route in routes.items()}

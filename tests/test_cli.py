@@ -74,6 +74,9 @@ class TestValidation:
             {"count": 0},
             {"spacing": "cubic"},
             {"start": -0.1, "spacing": "log"},
+            # np.geomspace raised at stop 0 and printed nan rows at stop < 0
+            {"start": 0.1, "stop": 0, "count": 3, "spacing": "log"},
+            {"start": 0.1, "stop": -1, "count": 3, "spacing": "log"},
         ],
     )
     def test_bad_grid_exits_2(self, runner, tmp_path, grid):
@@ -102,6 +105,14 @@ class TestValidation:
             '{"output": 1}',
             '{"output": 2}',
             '{"output": [1]}',
+            # only JSON numbers are numbers: float() took booleans and numeric strings
+            '{"N_modes": true, "method": "fredholm"}',
+            '{"weight_cutoff": "3", "method": "maya"}',
+            '{"sigma": ["-0.13", false]}',
+            '{"t_grid": {"count": true}}',
+            '{"tolerance": true}',
+            # an integer beyond float range: float() raised OverflowError
+            pytest.param('{"tolerance": 1' + "0" * 400 + "}", id="huge_int"),
         ],
     )
     def test_bad_value_exits_2(self, runner, tmp_path, payload):
@@ -176,6 +187,13 @@ class TestValidation:
         result = runner.invoke(main, ["tau"])
         assert result.exit_code == 3
         assert "numerical error" in result.output
+
+    @pytest.mark.parametrize("method", ["fredholm", "maya", "nekrasov"])
+    def test_overflow_exits_3(self, runner, tmp_path, method):
+        cfg = _config(tmp_path, {"method": method, "t_grid": {"start": 1e50, "count": 1}})
+        result = runner.invoke(main, ["tau", "-c", cfg])
+        assert result.exit_code == 3, result.output
+        assert result.output.startswith("numerical error: tau overflows")
 
 
 class TestTauCommand:

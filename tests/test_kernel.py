@@ -15,10 +15,8 @@ from besseltau.errors import (
     QuadratureConvergenceError,
 )
 from besseltau.kernel import (
-    ModeMatrices,
     _modes,
     bessel_kernel_J,
-    fredholm_det,
     kernel_a,
     kernel_d,
     mode_exponents,
@@ -73,10 +71,10 @@ def psibar_mode(p, s, nu, branch_sign=1):
     )
 
 
-def block_form_det(modes):
+def block_form_det(a, d):
     """det(I - A D) from the 4N x 4N block form [[I, -A], [-D, I]]."""
-    eye = np.eye(2 * modes.n)
-    return complex(np.linalg.det(np.block([[eye, -modes.a], [-modes.d, eye]])))
+    eye = np.eye(len(a))
+    return complex(np.linalg.det(np.block([[eye, -a], [-d, eye]])))
 
 
 def count_ln_gamma(monkeypatch):
@@ -160,23 +158,27 @@ class TestModeMatrices:
         assert d[0, 0] == pytest.approx(-0.05 / (2 * nu), rel=1e-13)
 
     def test_leading_blocks_are_the_smaller_build(self):
-        # the interleaved ordering keeps every smaller truncation a corner
-        lead = ModeMatrices.build(P_COMPLEX, 0.3, 8).leading(5)
-        small = ModeMatrices.build(P_COMPLEX, 0.3, 5)
-        assert lead.n == 5
-        np.testing.assert_array_equal(lead.a, small.a)
-        np.testing.assert_array_equal(lead.d, small.d)
+        # the interleaved ordering keeps every smaller truncation a corner,
+        # bit for bit: the Fredholm route reads both of its truncations so
+        lead = slice(0, 10)
+        np.testing.assert_array_equal(
+            mode_matrix_a(P_COMPLEX, 8)[lead, lead], mode_matrix_a(P_COMPLEX, 5)
+        )
+        np.testing.assert_array_equal(
+            mode_matrix_d(P_COMPLEX, 0.3, 8)[lead, lead], mode_matrix_d(P_COMPLEX, 0.3, 5)
+        )
+        np.testing.assert_array_equal(
+            mode_exponents(P_COMPLEX.nu, 8)[lead, lead], mode_exponents(P_COMPLEX.nu, 5)
+        )
 
     def test_d_vanishes_at_zero_time(self):
         d = mode_matrix_d(P_REAL, 0.0, 3)
         assert np.all(d == 0)
-        modes = ModeMatrices.build(P_REAL, 0.0, 3)
-        assert fredholm_det(modes) == pytest.approx(1.0, abs=1e-15)
 
     @pytest.mark.parametrize("params", [P_REAL, P_COMPLEX])
     def test_quadrature_matches_closed_form_a(self, params):
         quad = modes_by_quadrature(
-            lambda zp, z: kernel_a(params, zp, z), 4, radius=1.0, block="a"
+            lambda zp, z: kernel_a(params, zp, z), 4, block="a"
         )
         np.testing.assert_allclose(quad, mode_matrix_a(params, 4), atol=1e-12)
 
@@ -184,18 +186,18 @@ class TestModeMatrices:
     def test_quadrature_matches_closed_form_d(self, params):
         t = 0.05
         quad = modes_by_quadrature(
-            lambda zp, z: kernel_d(params, t, zp, z), 4, radius=1.0, block="d"
+            lambda zp, z: kernel_d(params, t, zp, z), 4, block="d"
         )
         np.testing.assert_allclose(quad, mode_matrix_d(params, t, 4), atol=1e-12)
 
     def test_quadrature_detects_nondecaying_modes(self):
         # a kernel with a pole just outside the unit circle decays too
-        # slowly for the default sampling density
+        # slowly for the 64 samples of a small truncation
         def slow(zp, z):
             return np.ones((2, 2)) * (1 / (1.05 - z) + 0 * zp)[..., None, None]
 
         with pytest.raises(QuadratureConvergenceError):
-            modes_by_quadrature(slow, 4, radius=1.0, block="a", samples=32)
+            modes_by_quadrature(slow, 4, block="a")
 
     @pytest.mark.parametrize("block", ["a", "d"])
     def test_quadrature_calls_the_kernel_once(self, block):
@@ -207,7 +209,7 @@ class TestModeMatrices:
                 return kernel_a(P_REAL, zp, z)
             return kernel_d(P_REAL, 0.05, zp, z)
 
-        modes_by_quadrature(counted, 4, radius=1.0, block=block)
+        modes_by_quadrature(counted, 4, block=block)
         assert calls == [(64, 64)]
 
     @pytest.mark.parametrize("branch_sign", [None, {1: -1, -1: 1}])
@@ -337,16 +339,14 @@ class TestPrincipalMinors:
 
 class TestDeterminant:
     def test_block_form_agrees(self):
-        modes = ModeMatrices.build(P_REAL, 0.05, 8)
-        d1, d2 = fredholm_det(modes), block_form_det(modes)
+        a, d = mode_matrix_a(P_REAL, 8), mode_matrix_d(P_REAL, 0.05, 8)
+        d1 = TauRoute(P_REAL, "fredholm", n_modes=8).tau(0.05).tau
+        d2 = block_form_det(a, d)
         assert d1 == pytest.approx(d2, rel=1e-12)
 
-    def test_empty_truncation_rejected(self):
-        with pytest.raises(ValueError):
-            ModeMatrices.build(P_REAL, 0.05, 0)
-
     def test_branch_sign_invariance(self):
-        base = fredholm_det(ModeMatrices.build(P_REAL, 0.05, 8))
+        base = TauRoute(P_REAL, "fredholm", n_modes=8).tau(0.05).tau
         for flip in ({1: -1, -1: 1}, {1: 1, -1: -1}, {1: -1, -1: -1}):
-            flipped = fredholm_det(ModeMatrices.build(P_REAL, 0.05, 8, flip))
+            a, d = mode_matrix_a(P_REAL, 8, flip), mode_matrix_d(P_REAL, 0.05, 8, flip)
+            flipped = block_form_det(a, d)
             assert flipped == pytest.approx(base, rel=1e-13)

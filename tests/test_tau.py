@@ -9,7 +9,8 @@ import pytest
 import besseltau
 from besseltau import nekrasov, partitions
 from besseltau import tau as tau_module
-from besseltau.kernel import ModeMatrices, fredholm_det
+from besseltau.errors import BesselTauError
+from besseltau.kernel import mode_matrix_a, mode_matrix_d
 from besseltau.monodromy import MonodromyParams
 from besseltau.nekrasov import SeriesTruncation, complex_fsum, tau_series_terms
 from besseltau.tau import (
@@ -103,15 +104,22 @@ class TestTau:
         with pytest.raises(ValueError, match="n_modes"):
             TauRoute(P_GENERIC, "fredholm", n_modes=n_modes)
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_overflow_raises(self, method):
+        # t**E and the series powers overflow: an error, not a nan or a traceback
+        with pytest.raises(BesselTauError, match="overflows at t = "):
+            TauRoute(P_GENERIC, method, trunc=TRUNC).tau(1e50, force=True)
+
     def test_finer_truncation_shared(self):
         # the value is read off the finer truncation; its blocks and terms
         # equal separate coarse builds, so only the determinant's last ulp
         # may move
         t = 0.05
         tv = TauRoute(P_GENERIC, "fredholm", n_modes=8).tau(t)
-        alone = fredholm_det(ModeMatrices.build(P_GENERIC, t, 8))
+        a, d = mode_matrix_a(P_GENERIC, 8), mode_matrix_d(P_GENERIC, t, 8)
+        alone = np.linalg.det(np.eye(16) - a @ d)
         assert tv.tau == pytest.approx(alone, rel=1e-15)
-        finer = fredholm_det(ModeMatrices.build(P_GENERIC, t, 10))
+        finer = TauRoute(P_GENERIC, "fredholm", n_modes=10).tau(t).tau
         assert tv.est_error == pytest.approx(abs(finer - alone), rel=1e-6, abs=1e-15)
         tv = TauRoute(P_GENERIC, "maya", trunc=TRUNC).tau(t)
 
