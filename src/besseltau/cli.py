@@ -158,7 +158,7 @@ def _validate(cfg, command):
 
 def _write(cfg, text):
     if not cfg["output"]:
-        click.echo(text, nl=False)
+        click.echo(text, nl=False, file=sys.stdout)
         return
     try:
         with open(cfg["output"], "w") as fh:
@@ -209,10 +209,10 @@ def _command(name, summary):
                 cfg = _load_config(config_path)
                 fn(cfg, *_validate(cfg, name))
             except ConfigError as exc:
-                click.echo(f"config error: {exc}", err=True)
+                click.echo(f"config error: {exc}", file=sys.stderr)
                 sys.exit(2)
             except (BesselTauError, np.linalg.LinAlgError) as exc:
-                click.echo(f"numerical error: {exc}", err=True)
+                click.echo(f"numerical error: {exc}", file=sys.stderr)
                 sys.exit(3)
 
         return fn
@@ -285,7 +285,7 @@ def modes(cfg, params, ts, _methods, _trunc, n_modes):
     click.echo(
         f"max |closed - quadrature|: a = {np.max(np.abs(a_closed - a_quad)):.3e}, "
         f"d = {np.max(np.abs(d_closed - d_quad)):.3e}",
-        err=True,
+        file=sys.stderr,
     )
 
 
@@ -322,12 +322,13 @@ def check(cfg, params, ts, _methods, trunc, n_modes):
     for name, value, tol in rows:
         click.echo(
             f"{name:<{width}}  {value:12.3e}  < {tol:.0e}  "
-            f"{'PASS' if value < tol else 'FAIL'}"
+            f"{'PASS' if value < tol else 'FAIL'}",
+            file=sys.stdout,
         )
     if not all(value < tol for _, value, tol in rows):
-        click.echo("one or more checks failed", err=True)
+        click.echo("one or more checks failed", file=sys.stderr)
         sys.exit(3)
-    click.echo("all checks passed")
+    click.echo("all checks passed", file=sys.stdout)
 
 
 if __name__ == "__main__":

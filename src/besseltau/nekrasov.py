@@ -4,14 +4,18 @@ Both routes sum over pairs (Y+, Y-) of Young diagrams, and every factor
 of a pair's weight is linear in nu: a + b nu, a and b integers.  Three layers:
 
 * structure, free of t and of the parameters: ``_pairs(w)`` enumerates the
-  pairs of weight w as row tuples, and an integer (a, b) table per weight
-  holds each pair's factors of prod_{s, s'} z_bif(nu (s - s') | Y^{s'}, Y^s)
-  (``_instanton_table``) or, per charge, of Xi * Delta^2 read off the Maya
-  positions of the profile walk (``_maya_table``);
+  pairs of weight w as row tuples.  The instanton route holds per weight an
+  integer (a, b) table of each pair's factors of prod_{s, s'} z_bif(nu (s -
+  s') | Y^{s'}, Y^s) (``_instanton_table``).  The Maya route holds per
+  charge the padded particle and hole positions of every diagram, one
+  profile walk each, and indexes a pair by its two diagrams;
 * coefficients in nu and eta: ``_linear_product`` evaluates prod(a + b nu)
-  of a table, each instanton table at nu + n for every charge n; only the
-  Gamma quotients, ``c_ratio`` and the eta phase are not linear in nu, and
-  each layer's pair weights are summed exactly with ``complex_fsum``;
+  of a table, each instanton table at nu + n for every charge n.
+  ``_MayaWeights`` splits Xi * Delta^2 into a self factor per diagram and
+  color, built once, and a cross-color Cauchy product per pair, one
+  broadcast per (charge, weight) block.  Only the Gamma quotients,
+  ``c_ratio`` and the eta phase are not linear in nu, and each layer's pair
+  weights are summed exactly with ``complex_fsum``;
 * evaluation in t: the term records (charge, weight, exponent, coeff) give
   the normalized tau function sum coeff * t^exponent (vacuum coefficient 1,
   the prefactor t^{nu^2} applied downstream), which ``tau.TauRoute`` sums.
@@ -48,8 +52,8 @@ __all__ = [
 
 def complex_fsum(values) -> complex:
     """Exactly rounded complex sum: math.fsum on real and imaginary parts."""
-    values = [complex(v) for v in values]
-    return complex(math.fsum(v.real for v in values), math.fsum(v.imag for v in values))
+    values = values if isinstance(values, np.ndarray) else np.fromiter(values, complex)
+    return complex(math.fsum(values.real.tolist()), math.fsum(values.imag.tolist()))
 
 
 @dataclass(frozen=True)
@@ -99,8 +103,9 @@ def _pairs(w: int):
 
 def _table(rows) -> tuple:
     """Rows of (a, b) integer lists -> two int16 arrays, padded with the
-    neutral factor (1, 0).  The rows are consumed one at a time into flat
-    arrays, so no layer is ever held as Python lists."""
+    neutral factor (1, 0), which the Maya positions read as (x, kind 0).
+    The rows are consumed one at a time into flat arrays, so no layer is
+    ever held as Python lists."""
     flat_a, flat_b, lengths = array("h"), array("h"), []
     for a, b in rows:
         flat_a.extend(a)
@@ -158,50 +163,80 @@ def _instanton_weights(table, nu) -> np.ndarray:
     return 1 / _linear_product(table, nu)
 
 
-def _maya_table(w: int, q: int) -> tuple:
-    """Factors of Xi Delta^2 for each pair of weight w at charge Q: rows 2i
-    and 2i + 1 hold the numerator and the denominator of pair i.
+def _cauchy(diff, kinds) -> tuple:
+    """(prod of diff where kinds > 0, prod of diff where kinds < 0) over the last two axes."""
+    return tuple(np.prod(np.where(sign * kinds > 0, diff, 1), axis=(-2, -1)) for sign in (1, -1))
 
-    Y+ sits at charge Q and Y- at -Q; their particles p > 0 and holes h < 0
-    carry the color s = +-1 and the momentum x = p - s nu.  The numerator
-    holds the Cauchy differences among the particles and among the holes;
-    the denominator those of particles against holes, with m! (1 - 2 s nu)_m
-    per particle (m = p - 1/2) and m! (2 s nu)_{m+1} per hole (m = |h| - 1/2).
-    Then Xi Delta^2 = (-1)^Q (Gamma(1 + 2 nu) / Gamma(1 - 2 nu))^{2Q} (num / den)^2.
-    Positions are doubled, so every difference (x - x')/2 is an integer.
+
+class _MayaWeights:
+    """Xi Delta^2 of every pair of weight <= weight_cutoff at every charge
+    |Q| <= charge_cutoff, at one nu: ``weights(w, q)`` in ``_pairs`` order.
+
+    Y+ sits at charge Q with color s = +1 and Y- at -Q with s = -1.  Their
+    particles p > 0 and holes h < 0, of kind k = +1 and -1, are doubled
+    positions x with momentum x/2 - s nu.  Then Xi Delta^2 = (-1)^Q (Gamma(1 +
+    2 nu) / Gamma(1 - 2 nu))^{2Q} R^2, with R the Cauchy product of the
+    momentum differences to the power k k' over all pairs of positions,
+    over m! (1 - 2 s nu)_m per particle (m = p - 1/2) and m! (2 s nu)_{m+1}
+    per hole (m = |h| - 1/2); signs drop out of the square.  R splits into
+
+    * a self factor per charged diagram and color, built here once: the
+      integer differences (x - x')/2 within the diagram, over its
+      Pochhammer factors, read off one cumulative product;
+    * a cross factor per pair, (x+ - x-)/2 - 2 nu over Y+ x Y-, one masked
+      broadcast per (q, w) block in ``weights``.
     """
 
-    def rows():
-        for yp, ym in _pairs(w):
-            (pp, hp), (pm, hm) = _profile(yp, q), _profile(ym, -q)
-            ps, pc = pp + pm, (1,) * len(pp) + (-1,) * len(pm)
-            hs, hc = hp + hm, (1,) * len(hp) + (-1,) * len(hm)
-            num_a, num_b = [], []
-            for xs, cs in ((ps, pc), (hs, hc)):
-                num_a += [(x - y) // 2 for i, x in enumerate(xs) for y in xs[i + 1 :]]
-                num_b += [t - s for i, s in enumerate(cs) for t in cs[i + 1 :]]
-            yield num_a, num_b
-            den_a = [(p - h) // 2 for p in ps for h in hs]
-            den_b = [t - s for s in pc for t in hc]
-            for p, s in zip(ps, pc):
-                m = (p - 1) // 2
-                den_a += [*range(1, m + 1), *range(1, m + 1)]
-                den_b += [0] * m + [-2 * s] * m
-            for h, s in zip(hs, hc):
-                m = (-h - 1) // 2
-                den_a += [*range(1, m + 1), *range(m + 1)]
-                den_b += [0] * m + [2 * s] * (m + 1)
-            yield den_a, den_b
+    def __init__(self, nu, weight_cutoff: int, charge_cutoff: int):
+        nu = self.nu = complex(nu)
+        diagrams = [rows for w in range(weight_cutoff + 1) for rows in partitions_of(w)]
+        index = {rows: i for i, rows in enumerate(diagrams)}
+        # (i_plus, i_minus): the diagrams of each pair of weight w, in _pairs order
+        self._pair_index = [
+            np.array([(index[yp], index[ym]) for yp, ym in _pairs(w)]).T
+            for w in range(weight_cutoff + 1)
+        ]
+        # (doubled positions, kinds) of every diagram at charge c, padded with kind 0
+        self._positions = {
+            c: _table(
+                (p + h, (1,) * len(p) + (-1,) * len(h))
+                for p, h in (_profile(rows, c) for rows in diagrams)
+            )
+            for c in range(-charge_cutoff, charge_cutoff + 1)
+        }
+        # by (color s = +1, -1; particle, hole; m): m! (1 - 2 s nu)_m and m! (2 s nu)_{m+1}
+        m_max = max(int(np.abs(x).max(initial=1)) for x, _ in self._positions.values()) // 2
+        k = np.arange(m_max + 1)
+        steps = k * (k - 2 * nu * np.array([[[1], [-1]], [[-1], [1]]]))
+        steps[:, 0, 0], steps[:, 1, 0] = 1, (2 * nu, -2 * nu)
+        pochhammer = np.cumprod(steps, axis=-1)
+        self._self = {}
+        for c, (x, kind) in self._positions.items():
+            num, den = _cauchy(
+                np.abs(x[:, :, None] - x[:, None, :]) / 2,
+                np.triu(kind[:, :, None] * kind[:, None, :], 1),
+            )
+            hole, m = np.where(kind < 0, 1, 0), np.where(kind != 0, (np.abs(x) - 1) // 2, 0)
+            for color, s in enumerate((1, -1)):
+                poch = np.prod(pochhammer[color, hole, m], axis=1)
+                if not poch.all():
+                    raise DegenerateParameterError(f"vanishing Pochhammer factor at nu = {nu}")
+                self._self[c, s] = num / den / poch
 
-    return _table(rows())
-
-
-def _maya_weights(nu, w: int, q: int) -> np.ndarray:
-    """Xi Delta^2 for each pair of weight w at charge Q, in ``_pairs`` order."""
-    a, b = _maya_table(w, q)
-    # one half of the table at a time keeps one complex temporary alive
-    num, den = (_linear_product((a[k::2], b[k::2]), nu) for k in (0, 1))
-    return (-1) ** q * _gamma_quotient(nu, q) * (num / den) ** 2
+    def weights(self, w: int, q: int) -> np.ndarray:
+        """Xi Delta^2 of each pair of weight w at charge Q, in ``_pairs`` order."""
+        i_plus, i_minus = self._pair_index[w]
+        (x_plus, k_plus), (x_minus, k_minus) = self._positions[q], self._positions[-q]
+        x_plus, k_plus = x_plus[i_plus], k_plus[i_plus]
+        x_minus, k_minus = x_minus[i_minus], k_minus[i_minus]
+        num, den = _cauchy(
+            (x_plus[:, :, None] - x_minus[:, None, :]) // 2 - 2 * self.nu,
+            k_plus[:, :, None] * k_minus[:, None, :],
+        )
+        if not (num.all() and den.all()):
+            raise DegenerateParameterError(f"vanishing series factor at nu = {self.nu}")
+        ratio = self._self[q, 1][i_plus] * self._self[-q, -1][i_minus] * num / den
+        return (-1) ** q * _gamma_quotient(self.nu, q) * ratio**2
 
 
 def _gamma_quotient(nu, q: int) -> complex:
@@ -284,11 +319,12 @@ def tau_series_terms(params: MonodromyParams, trunc: SeriesTruncation):
     aggregated over all Maya pairs of charge Q and total weight w.
     """
     nu, eta = params.nu, params.eta
+    maya = _MayaWeights(nu, trunc.weight_cutoff, trunc.charge_cutoff)
     terms = []
     for q in range(-trunc.charge_cutoff, trunc.charge_cutoff + 1):
         phase = cmath.exp(-4j * cmath.pi * eta * q)
         for w in range(trunc.weight_cutoff + 1):
-            coeff = phase * complex_fsum(_maya_weights(nu, w, q))
+            coeff = phase * complex_fsum(maya.weights(w, q))
             terms.append((q, w, q * q - 2 * q * nu + w, coeff))
     return terms
 
@@ -366,10 +402,11 @@ def check_lemma_identities(nu, weight_cutoff: int = 3, charge_cutoff: int = 2) -
                     worst_ratio = max(worst_ratio, abs(abs(zt / ref) - 1))
 
     worst_closed = 0.0
+    maya = _MayaWeights(nu, weight_cutoff, charge_cutoff)
     for w in range(weight_cutoff + 1):
         table = _instanton_table(w)
-        for q in range(-charge_cutoff, charge_cutoff + 1):
-            lhs = _maya_weights(nu, w, q)
+        for q in charges:
+            lhs = maya.weights(w, q)
             rhs = _gamma_quotient(nu, q) * _instanton_weights(table, nu - q)
             rhs *= upsilon(2 * nu, -2 * q) * upsilon(-2 * nu, 2 * q)
             worst_closed = max(worst_closed, float(np.max(np.abs(lhs - rhs) / np.abs(rhs))))

@@ -221,9 +221,18 @@ class TauRoute:
         return TauValue(t, val, self.method, dict(self.truncation), abs(val - finer))
 
     def theta_log_tau(self, t):
-        """(theta^1 .. theta^4) log tau_full at real t > 0, theta = t d/dt."""
+        """(theta^1 .. theta^4) log tau_full at real t > 0, theta = t d/dt.
+
+        Raises BesselTauError when the evaluation overflows or a
+        derivative is not finite."""
         t = _real_positive(t, "theta-derivatives require real t > 0")
-        th1, th2, th3, th4 = _theta_cumulants(*self._structure.moments(complex(t)))
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                th1, th2, th3, th4 = _theta_cumulants(*self._structure.moments(complex(t)))
+        except ArithmeticError as exc:
+            raise BesselTauError(f"log-derivatives overflow at t = {t}: {exc}") from exc
+        if not all(map(cmath.isfinite, (th1, th2, th3, th4))):
+            raise BesselTauError(f"log-derivatives are not finite at t = {t}")
         return th1 + self.params.nu**2, th2, th3, th4
 
     def zeta_derivatives(self, t):

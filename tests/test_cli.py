@@ -1,6 +1,8 @@
 """Tests for the command-line interface: config validation, formats, exit codes."""
 
+import gc
 import importlib
+import io
 import json
 import sys
 
@@ -242,6 +244,23 @@ class TestTauCommand:
         assert payload["schema"] == 1
         assert len(payload["records"]) == 2
         assert set(payload["records"][0]) == set(CSV_HEADER.split(","))
+
+    def test_invocations_keep_no_output_alive(self, runner):
+        # click.echo without file= caches a wrapper per stream whose value
+        # keeps the stream alive, so every in-process invocation's captured
+        # output would stay in memory
+        cfg = json.dumps({"method": "fredholm", "N_modes": 2})
+
+        def live_buffers():
+            gc.collect()
+            return sum(isinstance(obj, io.BytesIO) for obj in gc.get_objects())
+
+        runner.invoke(main, ["tau", "-c", "-"], input=cfg)
+        before = live_buffers()
+        for _ in range(200):
+            assert runner.invoke(main, ["tau", "-c", "-"], input=cfg).exit_code == 0
+        assert runner.invoke(main, ["tau", "-c", "-"], input='{"N_modes": 0}').exit_code == 2
+        assert live_buffers() - before <= 5
 
     def test_stdin_config(self, runner):
         result = runner.invoke(

@@ -26,7 +26,7 @@ from besseltau.kernel import (
     rank_one_residual,
 )
 from besseltau.monodromy import MonodromyParams
-from besseltau.nekrasov import _maya_weights, _pairs
+from besseltau.nekrasov import _MayaWeights, _pairs
 from besseltau.partitions import _profile
 from besseltau.special import ln_gamma, pochhammer
 from besseltau.tau import TauRoute
@@ -319,10 +319,11 @@ class TestPrincipalMinors:
         w_max, q_max = 4, 2
         n = w_max + q_max + 2
         a, d1 = mode_matrix_a(params, n), mode_matrix_d(params, 1.0, n)
+        maya = _MayaWeights(params.nu, w_max, q_max)
 
         for w in range(w_max + 1):
             for q in range(-q_max, q_max + 1):
-                weights = _maya_weights(params.nu, w, q)
+                weights = maya.weights(w, q)
                 for (rows_plus, rows_minus), weight in zip(_pairs(w), weights):
                     (pp, hp), (pm, hm) = _profile(rows_plus, q), _profile(rows_minus, -q)
                     # the doubled position |x| and color s index mode |x| - 1 + (s == -1)

@@ -1,22 +1,26 @@
 """Unit tests for the combinatorial series layer."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
+from scipy.special import loggamma
 
+from besseltau import nekrasov
 from besseltau.monodromy import MonodromyParams
 from besseltau.nekrasov import (
     SeriesTruncation,
     _instanton_table,
     _instanton_weights,
-    _maya_weights,
+    _MayaWeights,
     _pairs,
     c_ratio,
     check_lemma_identities,
     quasi_periodicity_residual,
     tau_series_terms,
     z_bif,
+    z_dual_terms,
     z_inst_coefficients,
 )
 from besseltau.partitions import EMPTY, YoungDiagram, _profile, hook, partitions_of
@@ -37,6 +41,48 @@ def arm(y, i, j):
 def leg(y, i, j):
     """Extended leg length Y'_j - i."""
     return y.conjugate().row(j) - i
+
+
+def maya_factor_lists(rows_plus, rows_minus, q):
+    """The factors a + b nu of Xi Delta^2 for one pair at charge Q, as
+    (numerator, denominator) lists of (a, b), pair by pair of positions.
+
+    Y+ sits at charge Q and Y- at -Q; their particles p > 0 and holes h < 0
+    carry the color s = +-1 and the momentum x = p - s nu.  The numerator
+    holds the Cauchy differences among the particles and among the holes;
+    the denominator those of particles against holes, with m! (1 - 2 s nu)_m
+    per particle (m = p - 1/2) and m! (2 s nu)_{m+1} per hole (m = |h| - 1/2).
+    Positions are doubled, so every difference (x - x')/2 is an integer.
+    """
+    (pp, hp), (pm, hm) = _profile(rows_plus, q), _profile(rows_minus, -q)
+    ps, pc = pp + pm, (1,) * len(pp) + (-1,) * len(pm)
+    hs, hc = hp + hm, (1,) * len(hp) + (-1,) * len(hm)
+    num = []
+    for xs, cs in ((ps, pc), (hs, hc)):
+        num += [
+            ((x - y) // 2, t - s)
+            for i, (x, s) in enumerate(zip(xs, cs))
+            for y, t in zip(xs[i + 1 :], cs[i + 1 :])
+        ]
+    den = [((p - h) // 2, t - s) for p, s in zip(ps, pc) for h, t in zip(hs, hc)]
+    for p, s in zip(ps, pc):
+        m = (p - 1) // 2
+        den += [(k, 0) for k in range(1, m + 1)] + [(k, -2 * s) for k in range(1, m + 1)]
+    for h, s in zip(hs, hc):
+        m = (-h - 1) // 2
+        den += [(k, 0) for k in range(1, m + 1)] + [(k, 2 * s) for k in range(m + 1)]
+    return num, den
+
+
+def maya_weight_reference(nu, rows_plus, rows_minus, q):
+    """Xi Delta^2 = (-1)^Q (Gamma(1 + 2 nu) / Gamma(1 - 2 nu))^{2Q} (num / den)^2,
+    one pair at a time, from the factor lists."""
+    num, den = (
+        math.prod(a + b * nu for a, b in factors)
+        for factors in maya_factor_lists(rows_plus, rows_minus, q)
+    )
+    gamma = cmath.exp(2 * q * (loggamma(1 + 2 * nu) - loggamma(1 - 2 * nu)))
+    return (-1) ** q * gamma * (num / den) ** 2
 
 
 class TestZBif:
@@ -145,7 +191,49 @@ class TestCRatio:
 
 class TestMayaSeries:
     def test_vacuum_term(self):
-        assert _maya_weights(0.37, 0, 0).tolist() == [1]
+        assert _MayaWeights(0.37, 0, 0).weights(0, 0).tolist() == [1]
+
+    @pytest.mark.parametrize("nu", [0.313, 0.2 + 0.15j, 0.11 - 0.09j])
+    def test_weights_match_factor_lists(self, nu):
+        # every pair weight, in _pairs order, against the per-pair factor lists
+        maya = _MayaWeights(nu, 7, 3)
+        for w in range(8):
+            for q in range(-3, 4):
+                weights = maya.weights(w, q)
+                assert len(weights) == sum(1 for _ in _pairs(w))
+                for (rows_plus, rows_minus), weight in zip(_pairs(w), weights):
+                    ref = maya_weight_reference(nu, rows_plus, rows_minus, q)
+                    assert weight == pytest.approx(ref, rel=1e-13, abs=0), (w, q, rows_plus)
+
+    def test_deep_coefficients_match_instanton_route(self):
+        # the Maya coefficient of (Q, w) is the dual sum's (n, k) = (-Q, w)
+        trunc = SeriesTruncation(10, 3)
+        dual = {(-n, k): (e, c) for n, k, e, c in z_dual_terms(P_GENERIC, trunc)}
+        terms = tau_series_terms(P_GENERIC, trunc)
+        assert len(terms) == len(dual)
+        for q, w, e, c in terms:
+            e_dual, c_dual = dual[q, w]
+            assert e == pytest.approx(e_dual, rel=1e-15)
+            assert c == pytest.approx(c_dual, rel=1e-12, abs=0), (q, w)
+
+    @pytest.mark.parametrize("w_max, q_max", [(10, 3), (4, 0)])
+    def test_profile_walks_once_per_diagram_and_charge(self, monkeypatch, w_max, q_max):
+        # one walk per diagram of weight <= W and charge |c| <= Q, repeated
+        # in full by a second build: nothing is cached across builds
+        calls = []
+
+        def counted(rows, q):
+            calls.append((rows, q))
+            return _profile(rows, q)
+
+        monkeypatch.setattr(nekrasov, "_profile", counted)
+        trunc = SeriesTruncation(w_max, q_max)
+        bound = (2 * q_max + 1) * sum(len(partitions_of(k)) for k in range(w_max + 1))
+        tau_series_terms(P_GENERIC, trunc)
+        first = len(calls)
+        assert 0 < first <= bound
+        tau_series_terms(MonodromyParams.from_nu(0.21 + 0.03j, -0.07), trunc)
+        assert len(calls) == 2 * first
 
     def test_colored_positions_sum_rule(self):
         # the walk's doubled positions: each Maya diagram contributes
@@ -159,9 +247,10 @@ class TestMayaSeries:
 
     def test_sign_rule(self):
         # for real nu in (0, 1/2), every Maya weight Xi Delta^2 has the sign (-1)^Q
+        maya = _MayaWeights(0.313, 3, 2)
         for w in range(4):
             for q in range(-2, 3):
-                weights = _maya_weights(0.313, w, q)
+                weights = maya.weights(w, q)
                 assert np.all(np.sign(weights.real) == (-1) ** q), (w, q)
 
     @pytest.mark.parametrize("nu", [0.313, 0.2 + 0.15j])

@@ -158,6 +158,21 @@ class TestTauRoute:
         partitions.maya_from_young(partitions.YoungDiagram((2, 1)), 1)
         assert calls == ["YoungDiagram", "maya_from_young", "MayaDiagram"]
 
+    @pytest.mark.parametrize(
+        "method, t",
+        [("fredholm", 1e12), ("fredholm", 1e50), ("fredholm", 1e120)]
+        + [("maya", 1e50), ("maya", 1e120)],
+    )
+    def test_log_derivative_overflow_raises(self, method, t):
+        # t**E and the series powers overflow as in tau: an error, never a
+        # nan, a RuntimeWarning or a bare OverflowError
+        with pytest.raises(BesselTauError, match="log-derivatives overflow at t = "):
+            TauRoute(P_GENERIC, method).theta_log_tau(t)
+
+    def test_log_derivatives_finite_without_overflow(self):
+        # at t = 1e12 the maya powers stay finite, so the value is returned
+        assert all(map(cmath.isfinite, TauRoute(P_GENERIC, "maya").theta_log_tau(1e12)))
+
     def test_values_do_not_share_provenance(self):
         route = TauRoute(P_GENERIC, "maya", trunc=TRUNC)
         tv = route.tau(0.05)
