@@ -4,13 +4,14 @@ Both routes sum over pairs (Y+, Y-) of Young diagrams, and every factor
 of a pair's weight is linear in nu: a + b nu, a and b integers.  Three layers:
 
 * structure, free of t and of the parameters: ``_pairs(w)`` enumerates the
-  pairs of weight w as row tuples.  The instanton route holds per weight an
-  integer (a, b) table of each pair's factors of prod_{s, s'} z_bif(nu (s -
-  s') | Y^{s'}, Y^s) (``_instanton_table``).  The Maya route holds per
-  charge the padded particle and hole positions of every diagram, one
-  profile walk each, and indexes a pair by its two diagrams;
-* coefficients in nu and eta: ``_linear_product`` evaluates prod(a + b nu)
-  of a table, each instanton table at nu + n for every charge n.
+  pairs of weight w as row tuples, and ``_diagram_pairs`` indexes each pair
+  by its two diagrams.  The instanton route holds each diagram's squared
+  hook product H(Y)^2 and, per pair of weight w, the w integer offsets a of
+  its cross factor z_bif(2 nu | Y-, Y+) = prod(a + 2 nu).  The Maya route
+  holds per charge the padded particle and hole positions of every diagram,
+  one profile walk each;
+* coefficients in nu and eta: ``_InstantonWeights`` weighs a pair by
+  1 / (H(Y+)^2 H(Y-)^2 prod(a + 2 nu)^2) at nu + n for every charge n.
   ``_MayaWeights`` splits Xi * Delta^2 into a self factor per diagram and
   color, built once, and a cross-color Cauchy product per pair, one
   broadcast per (charge, weight) block.  Only the Gamma quotients,
@@ -26,14 +27,13 @@ references that ``check_lemma_identities`` compares.
 
 import cmath
 import math
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateParameterError
 from .monodromy import MonodromyParams
-from .partitions import YoungDiagram, _conjugate, _profile, partitions_of
+from .partitions import YoungDiagram, _profile, partitions_of
 from .special import barnes_g_ratio, ln_gamma, pochhammer, upsilon
 
 __all__ = [
@@ -90,7 +90,7 @@ def z_bif(nu, y_plus: YoungDiagram, y_minus: YoungDiagram) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Structure: one pair enumeration, integer (a, b) factor tables, one evaluator
+# Structure: one pair enumeration and index, per-diagram tables, one evaluator
 
 
 def _pairs(w: int):
@@ -101,66 +101,79 @@ def _pairs(w: int):
                 yield rows_plus, rows_minus
 
 
-def _table(rows) -> tuple:
-    """Rows of (a, b) integer lists -> two int16 arrays, padded with the
-    neutral factor (1, 0), which the Maya positions read as (x, kind 0).
-    The rows are consumed one at a time into flat arrays, so no layer is
-    ever held as Python lists."""
-    flat_a, flat_b, lengths = array("h"), array("h"), []
-    for a, b in rows:
-        flat_a.extend(a)
-        flat_b.extend(b)
-        lengths.append(len(a))
-    lengths = np.array(lengths)
+def _padded(seqs) -> np.ndarray:
+    """Integer sequences -> one int16 array, each row zero-padded to the longest."""
+    seqs = list(seqs)
+    lengths = np.array([len(seq) for seq in seqs])
     filled = np.arange(lengths.max(initial=0)) < lengths[:, None]
-    a_arr, b_arr = np.ones(filled.shape, dtype=np.int16), np.zeros(filled.shape, dtype=np.int16)
-    a_arr[filled], b_arr[filled] = np.frombuffer(flat_a, np.int16), np.frombuffer(flat_b, np.int16)
-    return a_arr, b_arr
-
-
-def _linear_product(table, nu) -> np.ndarray:
-    """prod(a + b nu) over each row of an integer (a, b) factor table.
-
-    No series factor vanishes off the lattice 2 nu in Z, so a zero product
-    raises DegenerateParameterError.
-    """
-    a, b = table
-    x = b * complex(nu)
-    x += a
-    out = np.prod(x, axis=-1)
-    if not out.all():
-        raise DegenerateParameterError(f"vanishing series factor at nu = {nu}")
+    out = np.zeros(filled.shape, dtype=np.int16)
+    out[filled] = [v for seq in seqs for v in seq]
     return out
 
 
-def _instanton_table(w: int) -> tuple:
-    """Factors of prod_{s, s'} z_bif(nu (s - s') | Y^{s'}, Y^s) for each pair of weight w.
+def _linear_product(offsets, x) -> np.ndarray:
+    """prod(a + x) over each row of an integer offset table.  No series factor
+    vanishes off the lattice 2 nu in Z, so a zero raises DegenerateParameterError."""
+    out = np.prod(offsets + complex(x), axis=-1)
+    if not out.all():
+        raise DegenerateParameterError(f"vanishing series factor at 2 nu = {x}")
+    return out
 
-    z_bif(b nu | X, Y) has one factor b nu + 1 + arm_X + leg_Y per box of X
-    and one b nu - 1 - arm_Y - leg_X per box of Y, with the extended arm
-    X_i - j and leg X'_j - i; so every pair has 4w factors, b in {0, 2, -2}.
+
+def _diagram_pairs(weight_cutoff: int) -> tuple:
+    """The diagrams of weight <= weight_cutoff as row tuples, by weight, and per
+    weight w the (i_plus, i_minus) indices of its pairs' diagrams in ``_pairs`` order."""
+    diagrams = [rows for w in range(weight_cutoff + 1) for rows in partitions_of(w)]
+    index = {rows: i for i, rows in enumerate(diagrams)}
+    pair_index = [
+        np.array([(index[yp], index[ym]) for yp, ym in _pairs(w)]).T
+        for w in range(weight_cutoff + 1)
+    ]
+    return diagrams, pair_index
+
+
+class _InstantonWeights:
+    """1 / prod_{s, s'} z_bif(nu (s - s') | Y^{s'}, Y^s) of every pair of weight
+    <= weight_cutoff, at any nu: ``weights(w, nu)`` in ``_pairs`` order.
+
+    With z_bif(0 | Y, Y) = (-1)^{|Y|} H(Y)^2, H(Y) the hook product, and the
+    reflection z_bif(-2 nu | Y+, Y-) = (-1)^w z_bif(2 nu | Y-, Y+), the weight
+    is 1 / (H(Y+)^2 H(Y-)^2 P^2) with P = z_bif(2 nu | Y-, Y+).  Both read
+    h(X, Y) = 1 + arm_X + leg_Y = (X_i - i - j + 1) + Y'_j at the boxes of X:
+
+    * per diagram, built here once: its zero-padded column lengths, its boxes
+      in row order as j and X_i - i - j + 1, and H(Y)^2 as a float;
+    * per pair of weight w, the w offsets a of P = prod(a + 2 nu): h(Y-, Y+)
+      over the boxes of Y-, -h(Y+, Y-) over those of Y+, one gather per weight.
     """
-    # column lengths, zero-padded so that every column index j <= w is valid
-    cols = {rows: _conjugate(rows) + (0,) * w for k in range(w + 1) for rows in partitions_of(k)}
 
-    def offsets(x, y):
-        cx, cy = cols[x], cols[y]
-        return [1 + r - j + cy[j - 1] - i for i, r in enumerate(x, 1) for j in range(1, r + 1)] + [
-            -1 - (r - j) - (cx[j - 1] - i) for i, r in enumerate(y, 1) for j in range(1, r + 1)
-        ]
+    def __init__(self, weight_cutoff: int):
+        diagrams, pair_index = _diagram_pairs(weight_cutoff)
+        rows = _padded(diagrams)
+        k = np.arange(rows.shape[1])
+        grid = k < rows[:, :, None]  # (diagram, i - 1, j - 1) inside the diagram
+        cols, filled = grid.sum(axis=1), k < rows.sum(axis=1)[:, None]
+        d, i, j = np.nonzero(grid)
+        box_j, box_row = np.zeros_like(rows), np.zeros_like(rows)
+        box_j[filled], box_row[filled] = j, rows[d, i] - i - j - 1
 
-    return _table(
-        (
-            offsets(yp, yp) + offsets(ym, yp) + offsets(yp, ym) + offsets(ym, ym),
-            [0] * (2 * sum(yp)) + [2] * w + [-2] * w + [0] * (2 * sum(ym)),
-        )
-        for yp, ym in _pairs(w)
-    )
+        def h(x, y, w):
+            """h(X, Y) at the first w box slots of X, for the diagrams x[p] and y[p] of each p."""
+            return box_row[x, :w] + cols[y[:, None], box_j[x, :w]]
 
+        every = np.arange(len(diagrams))
+        hooks = np.where(filled, h(every, every, k.size), 1)
+        self._hook_sq = np.prod(hooks, axis=1, dtype=float) ** 2
+        self._inv_hook_sq, self._offsets = [], []
+        for w, (i_plus, i_minus) in enumerate(pair_index):
+            self._inv_hook_sq.append(1 / (self._hook_sq[i_plus] * self._hook_sq[i_minus]))
+            a = np.concatenate([h(i_minus, i_plus, w), -h(i_plus, i_minus, w)], axis=1)
+            boxes = np.concatenate([filled[i_minus, :w], filled[i_plus, :w]], axis=1)
+            self._offsets.append(a[boxes].reshape(len(i_plus), w))
 
-def _instanton_weights(table, nu) -> np.ndarray:
-    """1 / prod_{s, s'} z_bif(nu (s - s') | Y^{s'}, Y^s) for each pair of the table."""
-    return 1 / _linear_product(table, nu)
+    def weights(self, w: int, nu) -> np.ndarray:
+        """1 / prod_{s, s'} z_bif(nu (s - s') | Y^{s'}, Y^s) of each pair of weight w."""
+        return self._inv_hook_sq[w] / _linear_product(self._offsets[w], 2 * complex(nu)) ** 2
 
 
 def _cauchy(diff, kinds) -> tuple:
@@ -189,29 +202,21 @@ class _MayaWeights:
 
     def __init__(self, nu, weight_cutoff: int, charge_cutoff: int):
         nu = self.nu = complex(nu)
-        diagrams = [rows for w in range(weight_cutoff + 1) for rows in partitions_of(w)]
-        index = {rows: i for i, rows in enumerate(diagrams)}
-        # (i_plus, i_minus): the diagrams of each pair of weight w, in _pairs order
-        self._pair_index = [
-            np.array([(index[yp], index[ym]) for yp, ym in _pairs(w)]).T
-            for w in range(weight_cutoff + 1)
-        ]
-        # (doubled positions, kinds) of every diagram at charge c, padded with kind 0
+        diagrams, self._pair_index = _diagram_pairs(weight_cutoff)
+        # doubled positions of every diagram at charge c, zero-padded: kind = np.sign(x)
         self._positions = {
-            c: _table(
-                (p + h, (1,) * len(p) + (-1,) * len(h))
-                for p, h in (_profile(rows, c) for rows in diagrams)
-            )
+            c: _padded(p + h for p, h in (_profile(rows, c) for rows in diagrams))
             for c in range(-charge_cutoff, charge_cutoff + 1)
         }
         # by (color s = +1, -1; particle, hole; m): m! (1 - 2 s nu)_m and m! (2 s nu)_{m+1}
-        m_max = max(int(np.abs(x).max(initial=1)) for x, _ in self._positions.values()) // 2
+        m_max = max(int(np.abs(x).max(initial=1)) for x in self._positions.values()) // 2
         k = np.arange(m_max + 1)
         steps = k * (k - 2 * nu * np.array([[[1], [-1]], [[-1], [1]]]))
         steps[:, 0, 0], steps[:, 1, 0] = 1, (2 * nu, -2 * nu)
         pochhammer = np.cumprod(steps, axis=-1)
         self._self = {}
-        for c, (x, kind) in self._positions.items():
+        for c, x in self._positions.items():
+            kind = np.sign(x)
             num, den = _cauchy(
                 np.abs(x[:, :, None] - x[:, None, :]) / 2,
                 np.triu(kind[:, :, None] * kind[:, None, :], 1),
@@ -226,12 +231,10 @@ class _MayaWeights:
     def weights(self, w: int, q: int) -> np.ndarray:
         """Xi Delta^2 of each pair of weight w at charge Q, in ``_pairs`` order."""
         i_plus, i_minus = self._pair_index[w]
-        (x_plus, k_plus), (x_minus, k_minus) = self._positions[q], self._positions[-q]
-        x_plus, k_plus = x_plus[i_plus], k_plus[i_plus]
-        x_minus, k_minus = x_minus[i_minus], k_minus[i_minus]
+        x_plus, x_minus = self._positions[q][i_plus], self._positions[-q][i_minus]
         num, den = _cauchy(
             (x_plus[:, :, None] - x_minus[:, None, :]) // 2 - 2 * self.nu,
-            k_plus[:, :, None] * k_minus[:, None, :],
+            np.sign(x_plus)[:, :, None] * np.sign(x_minus)[:, None, :],
         )
         if not (num.all() and den.all()):
             raise DegenerateParameterError(f"vanishing series factor at nu = {self.nu}")
@@ -253,10 +256,8 @@ def z_inst_coefficients(nu, weight_cutoff: int) -> dict:
 
     c_0 = 1 and c_1 = 1/(2 nu^2); each c_k is a rational function of nu.
     """
-    return {
-        w: complex_fsum(_instanton_weights(_instanton_table(w), nu))
-        for w in range(weight_cutoff + 1)
-    }
+    inst = _InstantonWeights(weight_cutoff)
+    return {w: complex_fsum(inst.weights(w, nu)) for w in range(weight_cutoff + 1)}
 
 
 def c_ratio(nu, n: int) -> complex:
@@ -274,16 +275,16 @@ def z_dual_terms(params: MonodromyParams, trunc: SeriesTruncation):
 
     Each record is (n, k, exponent, coeff) with exponent = n^2 + 2 n nu + k
     and coeff = exp(4 pi i n eta) c_ratio(nu, n) c_k(nu + n), so that the
-    (normalized) sum is sum coeff * t^exponent.  The instanton table of
-    each weight is built once and evaluated at nu + n for every charge.
+    (normalized) sum is sum coeff * t^exponent.  The instanton weights are
+    built once and evaluated at nu + n for every charge.
     """
     nu, eta = params.nu, params.eta
-    tables = [_instanton_table(k) for k in range(trunc.weight_cutoff + 1)]
+    inst = _InstantonWeights(trunc.weight_cutoff)
     terms = []
     for n in range(-trunc.charge_cutoff, trunc.charge_cutoff + 1):
         pref = cmath.exp(4j * cmath.pi * n * eta) * c_ratio(nu, n)
-        for k, table in enumerate(tables):
-            c_k = complex_fsum(_instanton_weights(table, nu + n))
+        for k in range(trunc.weight_cutoff + 1):
+            c_k = complex_fsum(inst.weights(k, nu + n))
             terms.append((n, k, n * n + 2 * n * nu + k, pref * c_k))
     return terms
 
@@ -380,7 +381,7 @@ def check_lemma_identities(nu, weight_cutoff: int = 3, charge_cutoff: int = 2) -
       charged pairs (the proportionality is a sign);
     * ``cauchy_vs_inst``: relative error of Xi Delta^2 against the closed
       form in Gamma quotients, upsilon factors and the instanton weight
-      at nu - Q: the Maya table of each pair against its instanton table.
+      at nu - Q: the Maya weight of each pair against its instanton weight.
 
     The Maya pairs have total weight <= weight_cutoff; the box-by-box
     reference pairs each diagram of weight <= weight_cutoff with every other.
@@ -402,12 +403,11 @@ def check_lemma_identities(nu, weight_cutoff: int = 3, charge_cutoff: int = 2) -
                     worst_ratio = max(worst_ratio, abs(abs(zt / ref) - 1))
 
     worst_closed = 0.0
-    maya = _MayaWeights(nu, weight_cutoff, charge_cutoff)
+    maya, inst = _MayaWeights(nu, weight_cutoff, charge_cutoff), _InstantonWeights(weight_cutoff)
     for w in range(weight_cutoff + 1):
-        table = _instanton_table(w)
         for q in charges:
             lhs = maya.weights(w, q)
-            rhs = _gamma_quotient(nu, q) * _instanton_weights(table, nu - q)
+            rhs = _gamma_quotient(nu, q) * inst.weights(w, nu - q)
             rhs *= upsilon(2 * nu, -2 * q) * upsilon(-2 * nu, 2 * q)
             worst_closed = max(worst_closed, float(np.max(np.abs(lhs - rhs) / np.abs(rhs))))
     return {"maya_vs_box": worst_ratio, "cauchy_vs_inst": worst_closed}

@@ -74,9 +74,9 @@ class MayaDiagram:
     def __post_init__(self):
         particles = frozenset(map(int, self.particles))
         holes = frozenset(map(int, self.holes))
-        if not all(p > 0 and p & 1 for p in particles):
+        if [p for p in particles if p < 1 or not p & 1]:
             raise ValueError("particles must be doubled positive half-integers (odd > 0)")
-        if not all(h < 0 and h & 1 for h in holes):
+        if [h for h in holes if h > -1 or not h & 1]:
             raise ValueError("holes must be doubled negative half-integers (odd < 0)")
         object.__setattr__(self, "particles", particles)
         object.__setattr__(self, "holes", holes)
@@ -112,16 +112,16 @@ def maya_from_young(y: YoungDiagram, q: int) -> MayaDiagram:
 
 def young_from_maya(m: MayaDiagram):
     """Maya diagram -> (YoungDiagram, charge); inverse of maya_from_young."""
-    q = m.charge
-    # occupied positions in decreasing order: the particles, then the
-    # negative positions between the holes; past the lowest hole Y_i = 0
-    filled = sorted(m.particles, reverse=True)
-    top = -1
-    for h in sorted(m.holes, reverse=True):
-        filled.extend(range(top, h, -2))
-        top = h - 2
-    # invert x = 2*Y_i - 2*i + 1 + 2*q
-    rows = [y for i, x in enumerate(filled, start=1) if (y := (x - 1 - 2 * q) // 2 + i) > 0]
+    q, holes = m.charge, m.holes
+    # the particles, decreasing, sit at x = 2*Y_i - 2*i + 1 + 2*q; below them each
+    # occupied negative position above the lowest hole has a box per hole under it
+    rows = [y for i, x in enumerate(sorted(m.particles)[::-1], 1 - q) if (y := x // 2 + i) > 0]
+    below = len(holes)
+    for x in range(-1, min(holes, default=-1), -2):
+        if x in holes:
+            below -= 1
+        else:
+            rows.append(below)
     return YoungDiagram(tuple(rows)), q
 
 

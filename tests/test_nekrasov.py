@@ -2,17 +2,19 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.special import loggamma
 
-from besseltau import nekrasov
+from besseltau import nekrasov, partitions
+from besseltau.errors import DegenerateParameterError
 from besseltau.monodromy import MonodromyParams
 from besseltau.nekrasov import (
     SeriesTruncation,
-    _instanton_table,
-    _instanton_weights,
+    _diagram_pairs,
+    _InstantonWeights,
     _MayaWeights,
     _pairs,
     c_ratio,
@@ -148,13 +150,14 @@ class TestZInst:
 
 
 class TestTables:
-    @pytest.mark.parametrize("nu", [0.37, 0.2 + 0.1j])
-    @pytest.mark.parametrize("shift", [0, 2, -1])
+    @pytest.mark.parametrize("nu", [0.37, 0.2 + 0.1j, 0.11 - 0.09j])
+    @pytest.mark.parametrize("shift", [0, 2, -1, -3])
     def test_instanton_weights_match_z_bif(self, nu, shift):
         # 1 / prod_{s, s'} z_bif(nu (s - s') | Y^{s'}, Y^s) from the scalar z_bif
         nu = nu + shift
+        inst = _InstantonWeights(5)
         for w in range(6):
-            weights = _instanton_weights(_instanton_table(w), nu)
+            weights = inst.weights(w, nu)
             assert len(weights) == sum(1 for _ in _pairs(w))
             for (rows_plus, rows_minus), weight in zip(_pairs(w), weights):
                 y = {1: YoungDiagram(rows_plus), -1: YoungDiagram(rows_minus)}
@@ -162,6 +165,48 @@ class TestTables:
                     z_bif(nu * (s - sp), y[sp], y[s]) for s in (1, -1) for sp in (1, -1)
                 )
                 assert weight == pytest.approx(1 / den, rel=1e-14, abs=0)
+
+    def test_hook_squares_match_hook(self):
+        # each diagram's stored H(Y)^2 against partitions.hook, box by box
+        diagrams, _ = _diagram_pairs(8)
+        hook_sq = _InstantonWeights(8)._hook_sq
+        assert len(hook_sq) == len(diagrams)
+        for rows, h_sq in zip(diagrams, hook_sq):
+            y = YoungDiagram(rows)
+            assert h_sq == math.prod(hook(y, i, j) for i, j in y.boxes()) ** 2, rows
+
+    def test_weights_on_the_lattice_raise(self):
+        # at nu = 1/2 (2 nu in Z, which MonodromyParams rejects) a cross factor
+        # vanishes from weight 2 on: an error before any division or warning
+        inst = _InstantonWeights(6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(np.isfinite(inst.weights(1, 0.5)))
+            for w in range(2, 7):
+                with pytest.raises(DegenerateParameterError, match="vanishing series factor"):
+                    inst.weights(w, 0.5)
+            with pytest.raises(DegenerateParameterError):
+                _MayaWeights(0.5, 6, 2)
+
+    def test_instanton_build_conjugates_each_diagram_at_most_once(self, monkeypatch):
+        # column lengths are built per diagram, not once per diagram and
+        # weight table
+        calls = []
+
+        def counted(rows):
+            calls.append(rows)
+            return conjugate(rows)
+
+        conjugate = partitions._conjugate
+        for mod in (partitions, nekrasov):
+            if hasattr(mod, "_conjugate"):
+                monkeypatch.setattr(mod, "_conjugate", counted)
+        z_dual_terms(P_GENERIC, SeriesTruncation(10, 3))
+        assert len(calls) <= sum(len(partitions_of(k)) for k in range(11))
+        # the counter counts
+        calls.clear()
+        YoungDiagram((2, 1)).conjugate()
+        assert calls == [(2, 1)]
 
     def test_pairs_enumerate_each_weight_once(self):
         for w in range(7):
