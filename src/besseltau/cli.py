@@ -247,12 +247,7 @@ def tau_cmd(cfg, params, ts, methods, trunc, n_modes):
 def series(cfg, params, _ts, methods, trunc, _n_modes):
     if methods == ["fredholm"]:
         raise ConfigError("series has no fredholm method; use maya, nekrasov or all")
-    use_maya = methods == ["maya"]
-    terms = (
-        tau_series_terms(params, trunc)
-        if use_maya
-        else z_dual_terms(params, trunc)
-    )
+    terms = (tau_series_terms if methods == ["maya"] else z_dual_terms)(params, trunc)
     lines = ["charge,weight,exponent_re,exponent_im,coeff_re,coeff_im"]
     for n, k, e, c in terms:
         e, c = complex(e), complex(c)

@@ -1,5 +1,9 @@
 """Exception hierarchy shared by all besseltau modules."""
 
+import contextlib
+
+import numpy as np
+
 
 class BesselTauError(Exception):
     """Base class for all errors raised by this package."""
@@ -23,3 +27,13 @@ class QuadratureConvergenceError(BesselTauError, RuntimeError):
 
 class ConfigError(BesselTauError, ValueError):
     """A run configuration failed validation."""
+
+
+@contextlib.contextmanager
+def overflow_guard(message: str):
+    """Raise BesselTauError(f"{message}: ...") for an overflow or invalid value in the block."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except ArithmeticError as exc:
+        raise BesselTauError(f"{message}: {exc}") from exc

@@ -21,8 +21,9 @@ of a pair's weight is linear in nu: a + b nu, a and b integers.  Three layers:
   the normalized tau function sum coeff * t^exponent (vacuum coefficient 1,
   the prefactor t^{nu^2} applied downstream), which ``tau.TauRoute`` sums.
 
-The scalar ``z_bif`` and ``z_bif_tilde`` are the box-by-box and Maya-position
-references that ``check_lemma_identities`` compares.
+``check_lemma_identities`` reads both sides of the Maya-position lemma off
+these tables: ``_MayaWeights.z_bif_tilde`` against the box form of
+``_InstantonWeights.z_bif_table``.  The scalar ``z_bif`` is the box-by-box reference.
 """
 
 import cmath
@@ -31,10 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateParameterError
+from .errors import BesselTauError, DegenerateParameterError, overflow_guard
 from .monodromy import MonodromyParams
 from .partitions import YoungDiagram, _profile, partitions_of
-from .special import barnes_g_ratio, ln_gamma, pochhammer, upsilon
+from .special import barnes_g_ratio, ln_gamma, upsilon
 
 __all__ = [
     "SeriesTruncation",
@@ -43,7 +44,6 @@ __all__ = [
     "c_ratio",
     "z_dual_terms",
     "tau_series_terms",
-    "z_bif_tilde",
     "check_lemma_identities",
     "quasi_periodicity_residual",
     "complex_fsum",
@@ -145,6 +145,8 @@ class _InstantonWeights:
       in row order as j and X_i - i - j + 1, and H(Y)^2 as a float;
     * per pair of weight w, the w offsets a of P = prod(a + 2 nu): h(Y-, Y+)
       over the boxes of Y-, -h(Y+, Y-) over those of Y+, one gather per weight.
+
+    ``z_bif_table`` takes the same gather over every two diagrams.
     """
 
     def __init__(self, weight_cutoff: int):
@@ -152,28 +154,38 @@ class _InstantonWeights:
         rows = _padded(diagrams)
         k = np.arange(rows.shape[1])
         grid = k < rows[:, :, None]  # (diagram, i - 1, j - 1) inside the diagram
-        cols, filled = grid.sum(axis=1), k < rows.sum(axis=1)[:, None]
+        self._cols, self._filled = grid.sum(axis=1), k < rows.sum(axis=1)[:, None]
         d, i, j = np.nonzero(grid)
-        box_j, box_row = np.zeros_like(rows), np.zeros_like(rows)
-        box_j[filled], box_row[filled] = j, rows[d, i] - i - j - 1
-
-        def h(x, y, w):
-            """h(X, Y) at the first w box slots of X, for the diagrams x[p] and y[p] of each p."""
-            return box_row[x, :w] + cols[y[:, None], box_j[x, :w]]
-
+        self._box_j, self._box_row = np.zeros_like(rows), np.zeros_like(rows)
+        self._box_j[self._filled], self._box_row[self._filled] = j, rows[d, i] - i - j - 1
+        # the hooks h(Y, Y) lead the offsets of z_bif(0 | Y, Y)
         every = np.arange(len(diagrams))
-        hooks = np.where(filled, h(every, every, k.size), 1)
+        hooks = np.where(self._filled, self._z_bif_offsets(every, every)[0][:, : k.size], 1)
         self._hook_sq = np.prod(hooks, axis=1, dtype=float) ** 2
         self._inv_hook_sq, self._offsets = [], []
         for w, (i_plus, i_minus) in enumerate(pair_index):
             self._inv_hook_sq.append(1 / (self._hook_sq[i_plus] * self._hook_sq[i_minus]))
-            a = np.concatenate([h(i_minus, i_plus, w), -h(i_plus, i_minus, w)], axis=1)
-            boxes = np.concatenate([filled[i_minus, :w], filled[i_plus, :w]], axis=1)
+            a, boxes = self._z_bif_offsets(i_minus, i_plus, w)
             self._offsets.append(a[boxes].reshape(len(i_plus), w))
+
+    def _z_bif_offsets(self, x, y, width=None) -> tuple:
+        """(a, boxes) with z_bif(v | X, Y) = prod(a + v) over the slots where boxes is set,
+        for the diagrams x[p] and y[p] of each p: h(X, Y) at the first ``width`` box slots
+        of X, then -h(Y, X) at those of Y."""
+        row, j, filled = (table[:, :width] for table in (self._box_row, self._box_j, self._filled))
+        h_xy, h_yx = row[x] + self._cols[y[:, None], j[x]], row[y] + self._cols[x[:, None], j[y]]
+        return np.concatenate([h_xy, -h_yx], axis=1), np.concatenate([filled[x], filled[y]], axis=1)
 
     def weights(self, w: int, nu) -> np.ndarray:
         """1 / prod_{s, s'} z_bif(nu (s - s') | Y^{s'}, Y^s) of each pair of weight w."""
         return self._inv_hook_sq[w] / _linear_product(self._offsets[w], 2 * complex(nu)) ** 2
+
+    def z_bif_table(self, values) -> np.ndarray:
+        """z_bif(v | Y+, Y-) at each v of ``values`` for every two diagrams, indexed (v, Y+, Y-)."""
+        n = len(self._hook_sq)
+        a, boxes = self._z_bif_offsets(*np.indices((n, n)).reshape(2, -1))
+        factors = np.where(boxes, a + np.asarray(values, dtype=complex)[:, None, None], 1)
+        return np.prod(factors, axis=-1).reshape(-1, n, n)
 
 
 def _cauchy(diff, kinds) -> tuple:
@@ -241,6 +253,29 @@ class _MayaWeights:
         ratio = self._self[q, 1][i_plus] * self._self[-q, -1][i_minus] * num / den
         return (-1) ** q * _gamma_quotient(self.nu, q) * ratio**2
 
+    def z_bif_tilde(self) -> np.ndarray:
+        """z_bif(nu + Q+ - Q- | Y+, Y-) / upsilon(nu, Q+ - Q-) up to a sign, indexed
+        (Q+, Q-, Y+, Y-): over the positions x+ of Y+ at Q+ and x- of Y- at Q-, the
+        products of nu + (x+ - x-)/2 where the kinds differ over those where they agree,
+        times (-nu)_m at the holes of Y+ and the particles of Y- (m = (|x| + 1)/2) and
+        (nu + 1)_m at the others (m = (|x| - 1)/2), from one cumulative product."""
+        width = max(x.shape[1] for x in self._positions.values())
+        x = np.stack([np.pad(x, ((0, 0), (0, width - x.shape[1]))) for x in self._positions.values()])
+        kind = np.sign(x)
+        m = np.arange((int(np.abs(x).max(initial=0)) + 1) // 2)
+        steps = np.concatenate([np.ones((2, 1)), np.array([[-self.nu], [self.nu + 1]]) + m], axis=1)
+        pochhammer = np.cumprod(steps, axis=1)
+        plus, minus = (
+            np.prod(pochhammer[(s * kind > 0).astype(int), (np.abs(x) - s * kind) // 2], axis=-1)
+            for s in (1, -1)
+        )
+        # axes (Q+, Q-, Y+, Y-, position of Y+, position of Y-)
+        x_plus, x_minus = x[:, None, :, None, :, None], x[None, :, None, :, None, :]
+        agree, differ = _cauchy(self.nu + (x_plus - x_minus) // 2, np.sign(x_plus) * np.sign(x_minus))
+        if not agree.all():
+            raise DegenerateParameterError(f"z_bif_tilde pole at nu = {self.nu}")
+        return plus[:, None, :, None] * minus[None, :, None, :] * differ / agree
+
 
 def _gamma_quotient(nu, q: int) -> complex:
     """(Gamma(1 + 2 nu) / Gamma(1 - 2 nu))^{2Q} through the principal log-Gammas."""
@@ -276,16 +311,20 @@ def z_dual_terms(params: MonodromyParams, trunc: SeriesTruncation):
     Each record is (n, k, exponent, coeff) with exponent = n^2 + 2 n nu + k
     and coeff = exp(4 pi i n eta) c_ratio(nu, n) c_k(nu + n), so that the
     (normalized) sum is sum coeff * t^exponent.  The instanton weights are
-    built once and evaluated at nu + n for every charge.
+    built once and evaluated at nu + n for every charge.  Raises
+    BesselTauError when a coefficient overflows or is not finite.
     """
     nu, eta = params.nu, params.eta
-    inst = _InstantonWeights(trunc.weight_cutoff)
     terms = []
-    for n in range(-trunc.charge_cutoff, trunc.charge_cutoff + 1):
-        pref = cmath.exp(4j * cmath.pi * n * eta) * c_ratio(nu, n)
-        for k in range(trunc.weight_cutoff + 1):
-            c_k = complex_fsum(inst.weights(k, nu + n))
-            terms.append((n, k, n * n + 2 * n * nu + k, pref * c_k))
+    with overflow_guard("series coefficients overflow"):
+        inst = _InstantonWeights(trunc.weight_cutoff)
+        for n in range(-trunc.charge_cutoff, trunc.charge_cutoff + 1):
+            pref = cmath.exp(4j * cmath.pi * n * eta) * c_ratio(nu, n)
+            for k in range(trunc.weight_cutoff + 1):
+                c_k = complex_fsum(inst.weights(k, nu + n))
+                terms.append((n, k, n * n + 2 * n * nu + k, pref * c_k))
+    if not all(cmath.isfinite(c) for *_, c in terms):
+        raise BesselTauError("series coefficients are not finite")
     return terms
 
 
@@ -317,16 +356,20 @@ def tau_series_terms(params: MonodromyParams, trunc: SeriesTruncation):
     """Term records (q, w, exponent, coeff) of the Maya expansion.
 
     exponent = Q^2 - 2 Q nu + w and coeff = exp(-4 pi i eta Q) Xi Delta^2,
-    aggregated over all Maya pairs of charge Q and total weight w.
+    aggregated over all Maya pairs of charge Q and total weight w.  Raises
+    BesselTauError when a coefficient overflows or is not finite.
     """
     nu, eta = params.nu, params.eta
-    maya = _MayaWeights(nu, trunc.weight_cutoff, trunc.charge_cutoff)
     terms = []
-    for q in range(-trunc.charge_cutoff, trunc.charge_cutoff + 1):
-        phase = cmath.exp(-4j * cmath.pi * eta * q)
-        for w in range(trunc.weight_cutoff + 1):
-            coeff = phase * complex_fsum(maya.weights(w, q))
-            terms.append((q, w, q * q - 2 * q * nu + w, coeff))
+    with overflow_guard("series coefficients overflow"):
+        maya = _MayaWeights(nu, trunc.weight_cutoff, trunc.charge_cutoff)
+        for q in range(-trunc.charge_cutoff, trunc.charge_cutoff + 1):
+            phase = cmath.exp(-4j * cmath.pi * eta * q)
+            for w in range(trunc.weight_cutoff + 1):
+                coeff = phase * complex_fsum(maya.weights(w, q))
+                terms.append((q, w, q * q - 2 * q * nu + w, coeff))
+    if not all(cmath.isfinite(c) for *_, c in terms):
+        raise BesselTauError("series coefficients are not finite")
     return terms
 
 
@@ -334,76 +377,31 @@ def tau_series_terms(params: MonodromyParams, trunc: SeriesTruncation):
 # Structural identities tying the two expansions together
 
 
-def z_bif_tilde(nu, y_plus: YoungDiagram, q_plus: int, y_minus: YoungDiagram, q_minus: int) -> complex:
-    """Bifundamental weight written over Maya positions rather than boxes.
-
-    Proportional to z_bif(nu + Q+ - Q- | Y+, Y-) / upsilon(nu, Q+ - Q-);
-    the proportionality is a sign.
-    """
-    nu = complex(nu)
-    (pp, hp), (pm, hm) = _profile(y_plus.rows, q_plus), _profile(y_minus.rows, q_minus)
-    hp, hm = [-hd / 2 for hd in hp], [-hd / 2 for hd in hm]
-    pp, pm = [pd / 2 for pd in pp], [pd / 2 for pd in pm]
-    prod = 1.0 + 0.0j
-    for q in hp:
-        prod *= pochhammer(-nu, int(q + 0.5))
-    for q in hm:
-        prod *= pochhammer(nu + 1, int(q - 0.5))
-    for p in pm:
-        prod *= pochhammer(-nu, int(p + 0.5))
-    for p in pp:
-        prod *= pochhammer(nu + 1, int(p - 0.5))
-    num = 1.0 + 0.0j
-    for q in hp:
-        for p in pm:
-            num *= nu - q - p
-    for q in hm:
-        for p in pp:
-            num *= nu + p + q
-    den = 1.0 + 0.0j
-    for qm in hm:
-        for qp in hp:
-            den *= nu - qp + qm
-    for p_m in pm:
-        for p_p in pp:
-            den *= nu + p_p - p_m
-    if den == 0:
-        raise DegenerateParameterError(f"z_bif_tilde pole at nu = {nu}")
-    return prod * num / den
-
-
 def check_lemma_identities(nu, weight_cutoff: int = 3, charge_cutoff: int = 2) -> dict:
     """Numerically verify the structural identities behind the Maya series.
 
     Returns a report with the worst-case deviations of
 
-    * ``maya_vs_box``: | |z_bif_tilde / (z_bif / upsilon)| - 1 | over
-      charged pairs (the proportionality is a sign);
+    * ``maya_vs_box``: | |z_bif_tilde / (z_bif / upsilon)| - 1 | over every two
+      charged diagrams (the proportionality is a sign) where z_bif is not 0;
     * ``cauchy_vs_inst``: relative error of Xi Delta^2 against the closed
       form in Gamma quotients, upsilon factors and the instanton weight
       at nu - Q: the Maya weight of each pair against its instanton weight.
 
-    The Maya pairs have total weight <= weight_cutoff; the box-by-box
-    reference pairs each diagram of weight <= weight_cutoff with every other.
+    The diagrams have weight <= weight_cutoff and the charges |Q| <= charge_cutoff.
     """
     nu = complex(nu)
-    diagrams = [YoungDiagram(rows) for w in range(weight_cutoff + 1) for rows in partitions_of(w)]
     charges = range(-charge_cutoff, charge_cutoff + 1)
-    # the box-by-box side reads the charges only through d = Q+ - Q-
-    ups = {d: upsilon(nu, d) for d in range(-2 * charge_cutoff, 2 * charge_cutoff + 1)}
-    worst_ratio = 0.0
-    for yp in diagrams:
-        for ym in diagrams:
-            rhs = {d: z_bif(nu + d, yp, ym) / u for d, u in ups.items()}
-            for qp in charges:
-                for qm in charges:
-                    zt, ref = z_bif_tilde(nu, yp, qp, ym, qm), rhs[qp - qm]
-                    if ref == 0:
-                        continue
-                    worst_ratio = max(worst_ratio, abs(abs(zt / ref) - 1))
+    # the box side reads the charges only through d = Q+ - Q-
+    shifts = np.arange(-2 * charge_cutoff, 2 * charge_cutoff + 1)
+    ups = np.array([upsilon(nu, int(d)) for d in shifts])
+    maya, inst = _MayaWeights(nu, weight_cutoff, charge_cutoff), _InstantonWeights(weight_cutoff)
+    box = inst.z_bif_table(nu + shifts) / ups[:, None, None]
+    ref = box[np.subtract.outer(charges, charges) + 2 * charge_cutoff]
+    kept = ref != 0
+    worst_ratio = float(np.max(np.abs(np.abs(maya.z_bif_tilde()[kept] / ref[kept]) - 1), initial=0))
 
     worst_closed = 0.0
-    maya, inst = _MayaWeights(nu, weight_cutoff, charge_cutoff), _InstantonWeights(weight_cutoff)
     for w in range(weight_cutoff + 1):
         for q in charges:
             lhs = maya.weights(w, q)

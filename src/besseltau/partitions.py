@@ -72,14 +72,22 @@ class MayaDiagram:
     holes: frozenset
 
     def __post_init__(self):
-        particles = frozenset(map(int, self.particles))
-        holes = frozenset(map(int, self.holes))
-        if [p for p in particles if p < 1 or not p & 1]:
-            raise ValueError("particles must be doubled positive half-integers (odd > 0)")
-        if [h for h in holes if h > -1 or not h & 1]:
-            raise ValueError("holes must be doubled negative half-integers (odd < 0)")
-        object.__setattr__(self, "particles", particles)
-        object.__setattr__(self, "holes", holes)
+        # an int frozenset is kept as it is; anything else is coerced with int first
+        particles, holes = self.particles, self.holes
+        if type(particles) is not frozenset or [
+            p for p in particles if type(p) is not int or p < 1 or not p & 1
+        ]:
+            particles = frozenset(map(int, particles))
+            if [p for p in particles if p < 1 or not p & 1]:
+                raise ValueError("particles must be doubled positive half-integers (odd > 0)")
+            object.__setattr__(self, "particles", particles)
+        if type(holes) is not frozenset or [
+            h for h in holes if type(h) is not int or h > -1 or not h & 1
+        ]:
+            holes = frozenset(map(int, holes))
+            if [h for h in holes if h > -1 or not h & 1]:
+                raise ValueError("holes must be doubled negative half-integers (odd < 0)")
+            object.__setattr__(self, "holes", holes)
 
     @property
     def charge(self) -> int:
@@ -101,13 +109,14 @@ def _profile(rows: tuple, q: int):
     occupied = [2 * (r - i + q) + 1 for i, r in enumerate(rows, start=1)]
     first_empty = 2 * (q - len(rows)) - 1
     particles = [*range(1, first_empty + 1, 2), *[x for x in reversed(occupied) if x > 0]]
-    holes = [h for h in range(first_empty + 2, 0, 2) if h not in occupied]
+    taken = set(occupied)
+    holes = [h for h in range(first_empty + 2, 0, 2) if h not in taken]
     return tuple(particles), tuple(holes)
 
 
 def maya_from_young(y: YoungDiagram, q: int) -> MayaDiagram:
     """Charged partition -> Maya diagram via the profile walk."""
-    return MayaDiagram(*_profile(y.rows, q))
+    return MayaDiagram(*map(frozenset, _profile(y.rows, q)))
 
 
 def young_from_maya(m: MayaDiagram):

@@ -1,7 +1,7 @@
 """Complex special functions used throughout the package.
 
 Everything here is pure and double precision: the complex log-Gamma
-(principal branch), Pochhammer symbols, the entire Bessel-type function
+(principal branch), the entire Bessel-type function
 
     j_sigma(z) = sum_{k>=0} z^k / (k! * Gamma(2*sigma + 1 + k)),
 
@@ -18,7 +18,6 @@ from .errors import PoleError
 
 __all__ = [
     "ln_gamma",
-    "pochhammer",
     "j_sigma",
     "barnes_g_ratio",
     "upsilon",
@@ -44,17 +43,6 @@ def ln_gamma(z) -> complex:
     if _is_nonpositive_integer(z):
         raise PoleError(f"Gamma pole at z = {z}")
     return complex(scipy.special.loggamma(z))
-
-
-def pochhammer(alpha, k: int) -> complex:
-    """Rising factorial alpha (alpha+1) ... (alpha+k-1); 1 for k = 0."""
-    if k < 0:
-        raise ValueError("pochhammer order must be a nonnegative integer")
-    alpha = complex(alpha)
-    out = 1.0 + 0.0j
-    for i in range(k):
-        out *= alpha + i
-    return out
 
 
 def j_sigma(sigma, z):

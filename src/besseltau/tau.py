@@ -32,7 +32,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import BesselTauError
+from .errors import BesselTauError, overflow_guard
 from .kernel import (
     kernel_a,
     kernel_d,
@@ -211,11 +211,8 @@ class TauRoute:
                 "truncation error estimates may be optimistic",
                 stacklevel=2,
             )
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                val, finer = self._structure.values(t)
-        except ArithmeticError as exc:
-            raise BesselTauError(f"tau overflows at t = {t}: {exc}") from exc
+        with overflow_guard(f"tau overflows at t = {t}"):
+            val, finer = self._structure.values(t)
         if not (cmath.isfinite(val) and cmath.isfinite(finer)):
             raise BesselTauError(f"tau is not finite at t = {t}")
         return TauValue(t, val, self.method, dict(self.truncation), abs(val - finer))
@@ -226,11 +223,8 @@ class TauRoute:
         Raises BesselTauError when the evaluation overflows or a
         derivative is not finite."""
         t = _real_positive(t, "theta-derivatives require real t > 0")
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                th1, th2, th3, th4 = _theta_cumulants(*self._structure.moments(complex(t)))
-        except ArithmeticError as exc:
-            raise BesselTauError(f"log-derivatives overflow at t = {t}: {exc}") from exc
+        with overflow_guard(f"log-derivatives overflow at t = {t}"):
+            th1, th2, th3, th4 = _theta_cumulants(*self._structure.moments(complex(t)))
         if not all(map(cmath.isfinite, (th1, th2, th3, th4))):
             raise BesselTauError(f"log-derivatives are not finite at t = {t}")
         return th1 + self.params.nu**2, th2, th3, th4

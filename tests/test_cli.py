@@ -197,6 +197,19 @@ class TestValidation:
         assert result.exit_code == 3, result.output
         assert result.output.startswith("numerical error: tau overflows")
 
+    @pytest.mark.parametrize(
+        "method, charge, weight",
+        [("maya", 60, 1), ("nekrasov", 60, 1), ("maya", 300, 1), ("maya", 17000, 0)],
+    )
+    def test_series_overflow_exits_3(self, runner, tmp_path, method, charge, weight):
+        # a coefficient beyond the double range is one error line, never a nan,
+        # a warning or a traceback
+        payload = {"method": method, "charge_cutoff": charge, "weight_cutoff": weight}
+        result = runner.invoke(main, ["series", "-c", _config(tmp_path, payload)])
+        assert result.exit_code == 3, result.output
+        assert result.output.startswith("numerical error: series coefficients")
+        assert result.output.count("\n") == 1, result.output
+
 
 class TestTauCommand:
     def test_default_run_csv(self, runner):

@@ -28,8 +28,9 @@ from besseltau.kernel import (
 from besseltau.monodromy import MonodromyParams
 from besseltau.nekrasov import _MayaWeights, _pairs
 from besseltau.partitions import _profile
-from besseltau.special import ln_gamma, pochhammer
+from besseltau.special import ln_gamma
 from besseltau.tau import TauRoute
+from oracles import pochhammer
 
 P_REAL = MonodromyParams.from_nu(0.37, 0.11)
 P_COMPLEX = MonodromyParams(0.2 - 0.3j, 0.07 + 0.04j)

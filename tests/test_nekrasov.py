@@ -9,7 +9,7 @@ import pytest
 from scipy.special import loggamma
 
 from besseltau import nekrasov, partitions
-from besseltau.errors import DegenerateParameterError
+from besseltau.errors import DegenerateParameterError, PoleError
 from besseltau.monodromy import MonodromyParams
 from besseltau.nekrasov import (
     SeriesTruncation,
@@ -26,7 +26,9 @@ from besseltau.nekrasov import (
     z_inst_coefficients,
 )
 from besseltau.partitions import EMPTY, YoungDiagram, _profile, hook, partitions_of
+from besseltau.special import upsilon
 from besseltau.tau import TauRoute
+from oracles import z_bif_tilde
 
 # weight-2 instanton coefficients frozen from a 40-digit independent run
 W2_REAL = 18.69462911040480561  # nu = 0.37
@@ -315,6 +317,73 @@ class TestMayaSeries:
         terms = tau_series_terms(P_GENERIC, SeriesTruncation(2, 1))
         vacuum = [c for q, w, e, c in terms if q == 0 and w == 0]
         assert vacuum[0] == pytest.approx(1.0, rel=1e-14)
+
+
+class TestLemmaTables:
+    """The two sides of the maya_vs_box row, z_bif_tilde and z_bif / upsilon, as
+    tables indexed (Q+, Q-, Y+, Y-) and (d, Y+, Y-), against the scalar oracles."""
+
+    W, Q = 3, 2
+
+    @pytest.mark.parametrize("nu", [0.37, 0.2 + 0.1j, 0.11 - 0.09j])
+    def test_maya_side_matches_z_bif_tilde(self, nu):
+        table = _MayaWeights(nu, self.W, self.Q).z_bif_tilde()
+        diagrams = [YoungDiagram(rows) for rows in _diagram_pairs(self.W)[0]]
+        charges = range(-self.Q, self.Q + 1)
+        assert table.shape == (len(charges),) * 2 + (len(diagrams),) * 2
+        for a, q_plus in enumerate(charges):
+            for b, q_minus in enumerate(charges):
+                for i, yp in enumerate(diagrams):
+                    for j, ym in enumerate(diagrams):
+                        ref = z_bif_tilde(nu, yp, q_plus, ym, q_minus)
+                        assert table[a, b, i, j] == pytest.approx(ref, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("nu", [0.37, 0.2 + 0.1j, 0.11 - 0.09j])
+    def test_box_side_matches_z_bif(self, nu):
+        shifts = np.arange(-2 * self.Q, 2 * self.Q + 1)
+        ups = np.array([upsilon(nu, int(d)) for d in shifts])
+        table = _InstantonWeights(self.W).z_bif_table(nu + shifts) / ups[:, None, None]
+        diagrams = [YoungDiagram(rows) for rows in _diagram_pairs(self.W)[0]]
+        assert table.shape == (len(shifts), len(diagrams), len(diagrams))
+        for k, d in enumerate(shifts):
+            for i, yp in enumerate(diagrams):
+                for j, ym in enumerate(diagrams):
+                    ref = z_bif(nu + d, yp, ym) / upsilon(nu, int(d))
+                    assert table[k, i, j] == pytest.approx(ref, rel=1e-13, abs=0)
+
+    def test_lemma_row_makes_no_diagram_objects(self, monkeypatch):
+        # both sides are read off the series tables: no YoungDiagram, no scalar
+        # z_bif, and one profile walk per diagram and charge
+        calls = []
+
+        def counted(name, fn):
+            return lambda *args: calls.append(name) or fn(*args)
+
+        post_init = YoungDiagram.__post_init__
+        monkeypatch.setattr(YoungDiagram, "__post_init__", counted("YoungDiagram", post_init))
+        monkeypatch.setattr(nekrasov, "z_bif", counted("z_bif", z_bif))
+        monkeypatch.setattr(nekrasov, "_profile", counted("_profile", _profile))
+        check_lemma_identities(0.37, self.W, self.Q)
+        n_diagrams = sum(len(partitions_of(k)) for k in range(self.W + 1))
+        assert "YoungDiagram" not in calls and "z_bif" not in calls
+        assert 0 < calls.count("_profile") <= (2 * self.Q + 1) * n_diagrams
+        # the counters count
+        calls.clear()
+        nekrasov.z_bif(0.37, YoungDiagram((1,)), EMPTY)
+        nekrasov._profile((1,), 0)
+        assert set(calls) == {"YoungDiagram", "z_bif", "_profile"}
+
+    def test_row_can_fail(self, monkeypatch):
+        # a box side off by 1% shows in the row
+        monkeypatch.setattr(nekrasov, "upsilon", lambda nu, q: 1.01 * upsilon(nu, q))
+        assert check_lemma_identities(0.37, self.W, self.Q)["maya_vs_box"] >= 1e-3
+
+    def test_edge_cases(self):
+        assert check_lemma_identities(0.37, 0, 0)["maya_vs_box"] == 0.0
+        with pytest.raises(DegenerateParameterError):
+            check_lemma_identities(0.5, self.W, self.Q)
+        with pytest.raises(PoleError):
+            check_lemma_identities(1, self.W, self.Q)
 
 
 class TestSymmetries:

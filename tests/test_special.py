@@ -18,9 +18,9 @@ from besseltau.special import (
     barnes_g_ratio,
     j_sigma,
     ln_gamma,
-    pochhammer,
     upsilon,
 )
+from oracles import pochhammer
 
 
 def gamma(z):
@@ -58,6 +58,8 @@ class TestLnGamma:
 
 
 class TestPochhammer:
+    """The scalar Pochhammer oracle the mode and lemma tests read."""
+
     def test_base_cases(self):
         assert pochhammer(0.3 + 0.1j, 0) == 1
         assert pochhammer(2.5, 1) == 2.5
