@@ -14,9 +14,9 @@ of a pair's weight is linear in nu: a + b nu, a and b integers.  Three layers:
   1 / (H(Y+)^2 H(Y-)^2 prod(a + 2 nu)^2) at nu + n for every charge n.
   ``_MayaWeights`` splits Xi * Delta^2 into a self factor per diagram and
   color, built once, and a cross-color Cauchy product per pair, one
-  broadcast per (charge, weight) block.  Only the Gamma quotients,
-  ``c_ratio`` and the eta phase are not linear in nu, and each layer's pair
-  weights are summed exactly with ``complex_fsum``;
+  broadcast per charge over the pairs of every weight.  Only the Gamma
+  quotients, ``c_ratio`` and the eta phase are not linear in nu, and each
+  layer's pair weights are summed exactly with ``complex_fsum``;
 * evaluation in t: the term records (charge, weight, exponent, coeff) give
   the normalized tau function sum coeff * t^exponent (vacuum coefficient 1,
   the prefactor t^{nu^2} applied downstream), which ``tau.TauRoute`` sums.
@@ -134,7 +134,7 @@ def _diagram_pairs(weight_cutoff: int) -> tuple:
 
 class _InstantonWeights:
     """1 / prod_{s, s'} z_bif(nu (s - s') | Y^{s'}, Y^s) of every pair of weight
-    <= weight_cutoff, at any nu: ``weights(w, nu)`` in ``_pairs`` order.
+    <= weight_cutoff, at any nu: ``weights(nu)`` by weight, in ``_pairs`` order.
 
     With z_bif(0 | Y, Y) = (-1)^{|Y|} H(Y)^2, H(Y) the hook product, and the
     reflection z_bif(-2 nu | Y+, Y-) = (-1)^w z_bif(2 nu | Y-, Y+), the weight
@@ -162,11 +162,11 @@ class _InstantonWeights:
         every = np.arange(len(diagrams))
         hooks = np.where(self._filled, self._z_bif_offsets(every, every)[0][:, : k.size], 1)
         self._hook_sq = np.prod(hooks, axis=1, dtype=float) ** 2
-        self._inv_hook_sq, self._offsets = [], []
+        self._tables = []  # per weight: 1 / (H(Y+)^2 H(Y-)^2) and the offsets of P, per pair
         for w, (i_plus, i_minus) in enumerate(pair_index):
-            self._inv_hook_sq.append(1 / (self._hook_sq[i_plus] * self._hook_sq[i_minus]))
             a, boxes = self._z_bif_offsets(i_minus, i_plus, w)
-            self._offsets.append(a[boxes].reshape(len(i_plus), w))
+            inv_hook_sq = 1 / (self._hook_sq[i_plus] * self._hook_sq[i_minus])
+            self._tables.append((inv_hook_sq, a[boxes].reshape(len(i_plus), w)))
 
     def _z_bif_offsets(self, x, y, width=None) -> tuple:
         """(a, boxes) with z_bif(v | X, Y) = prod(a + v) over the slots where boxes is set,
@@ -176,9 +176,9 @@ class _InstantonWeights:
         h_xy, h_yx = row[x] + self._cols[y[:, None], j[x]], row[y] + self._cols[x[:, None], j[y]]
         return np.concatenate([h_xy, -h_yx], axis=1), np.concatenate([filled[x], filled[y]], axis=1)
 
-    def weights(self, w: int, nu) -> np.ndarray:
-        """1 / prod_{s, s'} z_bif(nu (s - s') | Y^{s'}, Y^s) of each pair of weight w."""
-        return self._inv_hook_sq[w] / _linear_product(self._offsets[w], 2 * complex(nu)) ** 2
+    def weights(self, nu) -> list:
+        """1 / prod_{s, s'} z_bif(nu (s - s') | Y^{s'}, Y^s) of the pairs of each weight."""
+        return [inv / _linear_product(a, 2 * complex(nu)) ** 2 for inv, a in self._tables]
 
     def z_bif_table(self, values) -> np.ndarray:
         """z_bif(v | Y+, Y-) at each v of ``values`` for every two diagrams, indexed (v, Y+, Y-)."""
@@ -195,7 +195,7 @@ def _cauchy(diff, kinds) -> tuple:
 
 class _MayaWeights:
     """Xi Delta^2 of every pair of weight <= weight_cutoff at every charge
-    |Q| <= charge_cutoff, at one nu: ``weights(w, q)`` in ``_pairs`` order.
+    |Q| <= charge_cutoff, at one nu: ``weights(q)`` by weight, in ``_pairs`` order.
 
     Y+ sits at charge Q with color s = +1 and Y- at -Q with s = -1.  Their
     particles p > 0 and holes h < 0, of kind k = +1 and -1, are doubled
@@ -209,12 +209,14 @@ class _MayaWeights:
       integer differences (x - x')/2 within the diagram, over its
       Pochhammer factors, read off one cumulative product;
     * a cross factor per pair, (x+ - x-)/2 - 2 nu over Y+ x Y-, one masked
-      broadcast per (q, w) block in ``weights``.
+      broadcast per charge over the pairs of every weight in ``weights``.
     """
 
     def __init__(self, nu, weight_cutoff: int, charge_cutoff: int):
         nu = self.nu = complex(nu)
-        diagrams, self._pair_index = _diagram_pairs(weight_cutoff)
+        diagrams, pair_index = _diagram_pairs(weight_cutoff)
+        self._pair_index = np.concatenate(pair_index, axis=1)
+        self._splits = np.cumsum([len(i_plus) for i_plus, _ in pair_index])[:-1]
         # doubled positions of every diagram at charge c, zero-padded: kind = np.sign(x)
         self._positions = {
             c: _padded(p + h for p, h in (_profile(rows, c) for rows in diagrams))
@@ -240,9 +242,9 @@ class _MayaWeights:
                     raise DegenerateParameterError(f"vanishing Pochhammer factor at nu = {nu}")
                 self._self[c, s] = num / den / poch
 
-    def weights(self, w: int, q: int) -> np.ndarray:
-        """Xi Delta^2 of each pair of weight w at charge Q, in ``_pairs`` order."""
-        i_plus, i_minus = self._pair_index[w]
+    def weights(self, q: int) -> list:
+        """Xi Delta^2 of the pairs of each weight at charge Q."""
+        i_plus, i_minus = self._pair_index
         x_plus, x_minus = self._positions[q][i_plus], self._positions[-q][i_minus]
         num, den = _cauchy(
             (x_plus[:, :, None] - x_minus[:, None, :]) // 2 - 2 * self.nu,
@@ -251,7 +253,7 @@ class _MayaWeights:
         if not (num.all() and den.all()):
             raise DegenerateParameterError(f"vanishing series factor at nu = {self.nu}")
         ratio = self._self[q, 1][i_plus] * self._self[-q, -1][i_minus] * num / den
-        return (-1) ** q * _gamma_quotient(self.nu, q) * ratio**2
+        return np.split((-1) ** q * _gamma_quotient(self.nu, q) * ratio**2, self._splits)
 
     def z_bif_tilde(self) -> np.ndarray:
         """z_bif(nu + Q+ - Q- | Y+, Y-) / upsilon(nu, Q+ - Q-) up to a sign, indexed
@@ -292,7 +294,7 @@ def z_inst_coefficients(nu, weight_cutoff: int) -> dict:
     c_0 = 1 and c_1 = 1/(2 nu^2); each c_k is a rational function of nu.
     """
     inst = _InstantonWeights(weight_cutoff)
-    return {w: complex_fsum(inst.weights(w, nu)) for w in range(weight_cutoff + 1)}
+    return {w: complex_fsum(weights) for w, weights in enumerate(inst.weights(nu))}
 
 
 def c_ratio(nu, n: int) -> complex:
@@ -320,9 +322,8 @@ def z_dual_terms(params: MonodromyParams, trunc: SeriesTruncation):
         inst = _InstantonWeights(trunc.weight_cutoff)
         for n in range(-trunc.charge_cutoff, trunc.charge_cutoff + 1):
             pref = cmath.exp(4j * cmath.pi * n * eta) * c_ratio(nu, n)
-            for k in range(trunc.weight_cutoff + 1):
-                c_k = complex_fsum(inst.weights(k, nu + n))
-                terms.append((n, k, n * n + 2 * n * nu + k, pref * c_k))
+            for k, weights in enumerate(inst.weights(nu + n)):
+                terms.append((n, k, n * n + 2 * n * nu + k, pref * complex_fsum(weights)))
     if not all(cmath.isfinite(c) for *_, c in terms):
         raise BesselTauError("series coefficients are not finite")
     return terms
@@ -365,9 +366,8 @@ def tau_series_terms(params: MonodromyParams, trunc: SeriesTruncation):
         maya = _MayaWeights(nu, trunc.weight_cutoff, trunc.charge_cutoff)
         for q in range(-trunc.charge_cutoff, trunc.charge_cutoff + 1):
             phase = cmath.exp(-4j * cmath.pi * eta * q)
-            for w in range(trunc.weight_cutoff + 1):
-                coeff = phase * complex_fsum(maya.weights(w, q))
-                terms.append((q, w, q * q - 2 * q * nu + w, coeff))
+            for w, weights in enumerate(maya.weights(q)):
+                terms.append((q, w, q * q - 2 * q * nu + w, phase * complex_fsum(weights)))
     if not all(cmath.isfinite(c) for *_, c in terms):
         raise BesselTauError("series coefficients are not finite")
     return terms
@@ -402,10 +402,9 @@ def check_lemma_identities(nu, weight_cutoff: int = 3, charge_cutoff: int = 2) -
     worst_ratio = float(np.max(np.abs(np.abs(maya.z_bif_tilde()[kept] / ref[kept]) - 1), initial=0))
 
     worst_closed = 0.0
-    for w in range(weight_cutoff + 1):
-        for q in charges:
-            lhs = maya.weights(w, q)
-            rhs = _gamma_quotient(nu, q) * inst.weights(w, nu - q)
-            rhs *= upsilon(2 * nu, -2 * q) * upsilon(-2 * nu, 2 * q)
+    for q in charges:
+        gamma, ups_q = _gamma_quotient(nu, q), upsilon(2 * nu, -2 * q) * upsilon(-2 * nu, 2 * q)
+        for lhs, weights in zip(maya.weights(q), inst.weights(nu - q)):
+            rhs = gamma * weights * ups_q
             worst_closed = max(worst_closed, float(np.max(np.abs(lhs - rhs) / np.abs(rhs))))
     return {"maya_vs_box": worst_ratio, "cauchy_vs_inst": worst_closed}

@@ -115,6 +115,13 @@ class TestValidation:
             '{"tolerance": true}',
             # an integer beyond float range: float() raised OverflowError
             pytest.param('{"tolerance": 1' + "0" * 400 + "}", id="huge_int"),
+            # the shape of the config and of its fields
+            "[1, 2]",
+            '{"t_grid": 5}',
+            '{"t_grid": {"begin": 0.1}}',
+            '{"sigma": [0.1]}',
+            '{"weight_cutoff": -1}',
+            '{"format": "xml"}',
         ],
     )
     def test_bad_value_exits_2(self, runner, tmp_path, payload):
@@ -123,6 +130,7 @@ class TestValidation:
         result = runner.invoke(main, ["tau", "-c", str(path)])
         assert result.exit_code == 2, result.output
         assert "config error" in result.output
+        assert result.stdout == "" and len(result.stderr.splitlines()) == 1
 
     def test_unwritable_output_exits_2(self, runner, tmp_path):
         cfg = _config(tmp_path, {"output": str(tmp_path / "missing" / "out.csv")})
@@ -359,3 +367,13 @@ class TestOtherSubcommands:
         assert result.exit_code == 0, result.output
         assert "all checks passed" in result.output
         assert "FAIL" not in result.output
+
+    def test_check_failure_exits_3(self, runner, tmp_path):
+        # a tolerance the three-route row cannot meet: every row is printed,
+        # then one line on stderr and no pass summary
+        cfg = _config(tmp_path, {"tolerance": 1e-300})
+        result = runner.invoke(main, ["check", "-c", cfg])
+        assert result.exit_code == 3, result.output
+        assert "FAIL" in result.stdout
+        assert "all checks passed" not in result.output
+        assert result.stderr == "one or more checks failed\n"

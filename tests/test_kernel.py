@@ -284,6 +284,12 @@ class TestModeMatrices:
         monkeypatch.setattr(kernel_mod, name, perturbed)
         assert rank_one_residual(P_REAL, 6, which) > 1e-10
 
+    def test_block_names_are_checked(self):
+        with pytest.raises(ValueError, match="block must be 'a' or 'd'"):
+            modes_by_quadrature(lambda zp, z: kernel_a(P_REAL, zp, z), 4, block="x")
+        with pytest.raises(ValueError, match="which must be 'a' or 'd'"):
+            rank_one_residual(P_REAL, 4, which="x")
+
     @pytest.mark.parametrize("which", ["a", "d"])
     def test_rank_one_rejects_empty_truncation(self, which):
         # an empty block has no entry that could fail the identity
@@ -324,7 +330,7 @@ class TestPrincipalMinors:
 
         for w in range(w_max + 1):
             for q in range(-q_max, q_max + 1):
-                weights = maya.weights(w, q)
+                weights = maya.weights(q)[w]
                 for (rows_plus, rows_minus), weight in zip(_pairs(w), weights):
                     (pp, hp), (pm, hm) = _profile(rows_plus, q), _profile(rows_minus, -q)
                     # the doubled position |x| and color s index mode |x| - 1 + (s == -1)

@@ -37,6 +37,11 @@ W2_COMPLEX = 7.61 - 2.48j  # nu = 0.2 + 0.1i (exactly rational)
 P_GENERIC = MonodromyParams.from_nu(0.37, 0.11)
 
 
+def counted(calls, name, fn):
+    """fn, appending name to calls at every call."""
+    return lambda *args: calls.append(name) or fn(*args)
+
+
 def arm(y, i, j):
     """Extended arm length Y_i - j, for the box-by-box z_bif oracle."""
     return y.row(i) - j
@@ -159,7 +164,7 @@ class TestTables:
         nu = nu + shift
         inst = _InstantonWeights(5)
         for w in range(6):
-            weights = inst.weights(w, nu)
+            weights = inst.weights(nu)[w]
             assert len(weights) == sum(1 for _ in _pairs(w))
             for (rows_plus, rows_minus), weight in zip(_pairs(w), weights):
                 y = {1: YoungDiagram(rows_plus), -1: YoungDiagram(rows_minus)}
@@ -180,13 +185,12 @@ class TestTables:
     def test_weights_on_the_lattice_raise(self):
         # at nu = 1/2 (2 nu in Z, which MonodromyParams rejects) a cross factor
         # vanishes from weight 2 on: an error before any division or warning
-        inst = _InstantonWeights(6)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert np.all(np.isfinite(inst.weights(1, 0.5)))
+            assert all(np.all(np.isfinite(x)) for x in _InstantonWeights(1).weights(0.5))
             for w in range(2, 7):
                 with pytest.raises(DegenerateParameterError, match="vanishing series factor"):
-                    inst.weights(w, 0.5)
+                    _InstantonWeights(w).weights(0.5)
             with pytest.raises(DegenerateParameterError):
                 _MayaWeights(0.5, 6, 2)
 
@@ -238,7 +242,7 @@ class TestCRatio:
 
 class TestMayaSeries:
     def test_vacuum_term(self):
-        assert _MayaWeights(0.37, 0, 0).weights(0, 0).tolist() == [1]
+        assert [x.tolist() for x in _MayaWeights(0.37, 0, 0).weights(0)] == [[1]]
 
     @pytest.mark.parametrize("nu", [0.313, 0.2 + 0.15j, 0.11 - 0.09j])
     def test_weights_match_factor_lists(self, nu):
@@ -246,7 +250,7 @@ class TestMayaSeries:
         maya = _MayaWeights(nu, 7, 3)
         for w in range(8):
             for q in range(-3, 4):
-                weights = maya.weights(w, q)
+                weights = maya.weights(q)[w]
                 assert len(weights) == sum(1 for _ in _pairs(w))
                 for (rows_plus, rows_minus), weight in zip(_pairs(w), weights):
                     ref = maya_weight_reference(nu, rows_plus, rows_minus, q)
@@ -282,6 +286,23 @@ class TestMayaSeries:
         tau_series_terms(MonodromyParams.from_nu(0.21 + 0.03j, -0.07), trunc)
         assert len(calls) == 2 * first
 
+    def test_weights_are_built_per_charge(self, monkeypatch):
+        # one cross-color broadcast and one Gamma quotient per charge over the
+        # pairs of every weight (the build adds one self-factor broadcast per
+        # charge); the lemma check takes the box side's upsilon once per shift
+        # and the closed form's two once per charge
+        calls = []
+        for name in ("_cauchy", "_gamma_quotient", "upsilon"):
+            monkeypatch.setattr(nekrasov, name, counted(calls, name, getattr(nekrasov, name)))
+        q_max = 3
+        tau_series_terms(P_GENERIC, SeriesTruncation(10, q_max))
+        assert 0 < calls.count("_cauchy") <= 2 * (2 * q_max + 1)
+        assert 0 < calls.count("_gamma_quotient") <= 2 * q_max + 1
+        calls.clear()
+        q_max = 2
+        check_lemma_identities(0.37, 3, q_max)
+        assert 0 < calls.count("upsilon") <= (4 * q_max + 1) + 2 * (2 * q_max + 1)
+
     def test_colored_positions_sum_rule(self):
         # the walk's doubled positions: each Maya diagram contributes
         # (sum of particles - sum of holes) / 2 = Q^2/2 + |Y|
@@ -297,7 +318,7 @@ class TestMayaSeries:
         maya = _MayaWeights(0.313, 3, 2)
         for w in range(4):
             for q in range(-2, 3):
-                weights = maya.weights(w, q)
+                weights = maya.weights(q)[w]
                 assert np.all(np.sign(weights.real) == (-1) ** q), (w, q)
 
     @pytest.mark.parametrize("nu", [0.313, 0.2 + 0.15j])
@@ -355,14 +376,10 @@ class TestLemmaTables:
         # both sides are read off the series tables: no YoungDiagram, no scalar
         # z_bif, and one profile walk per diagram and charge
         calls = []
-
-        def counted(name, fn):
-            return lambda *args: calls.append(name) or fn(*args)
-
         post_init = YoungDiagram.__post_init__
-        monkeypatch.setattr(YoungDiagram, "__post_init__", counted("YoungDiagram", post_init))
-        monkeypatch.setattr(nekrasov, "z_bif", counted("z_bif", z_bif))
-        monkeypatch.setattr(nekrasov, "_profile", counted("_profile", _profile))
+        monkeypatch.setattr(YoungDiagram, "__post_init__", counted(calls, "YoungDiagram", post_init))
+        monkeypatch.setattr(nekrasov, "z_bif", counted(calls, "z_bif", z_bif))
+        monkeypatch.setattr(nekrasov, "_profile", counted(calls, "_profile", _profile))
         check_lemma_identities(0.37, self.W, self.Q)
         n_diagrams = sum(len(partitions_of(k)) for k in range(self.W + 1))
         assert "YoungDiagram" not in calls and "z_bif" not in calls

@@ -1,5 +1,6 @@
 """Unit tests for Young/Maya combinatorics."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -82,6 +83,25 @@ class TestMayaDiagram:
             MayaDiagram(frozenset({-1}), frozenset())  # particle must be positive
         with pytest.raises(ValueError):
             MayaDiagram(frozenset(), frozenset({3}))  # hole must be negative
+        # a list is coerced with int first, then checked the same way
+        with pytest.raises(ValueError, match="particles must be"):
+            MayaDiagram([2], [])
+        with pytest.raises(ValueError, match="holes must be"):
+            MayaDiagram([], [1])
+
+    @pytest.mark.parametrize(
+        "particles, holes, expected",
+        [
+            ([1, 3], {-1}, (frozenset({1, 3}), frozenset({-1}))),
+            ((np.int64(5),), (), (frozenset({5}), frozenset())),
+        ],
+    )
+    def test_coercion(self, particles, holes, expected):
+        # anything but an int frozenset is coerced with int
+        m = MayaDiagram(particles, holes)
+        assert type(m.particles) is frozenset and type(m.holes) is frozenset
+        assert all(type(x) is int for x in m.particles | m.holes)
+        assert m == MayaDiagram(*expected)
 
     def test_worked_example_charges(self):
         # m+ = {5/2; holes at -3/2, -11/2}, m- = {9/2, 5/2; hole at -7/2}
