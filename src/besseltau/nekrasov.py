@@ -9,12 +9,17 @@ of a pair's weight is linear in nu: a + b nu, a and b integers.  Three layers:
   hook product H(Y)^2 and, per pair of weight w, the w integer offsets a of
   its cross factor z_bif(2 nu | Y-, Y+) = prod(a + 2 nu).  The Maya route
   holds per charge the padded particle and hole positions of every diagram,
-  one profile walk each;
+  one vectorized profile at charge 0 shifted by 2 c, and per pair the integer
+  differences (x+ - x-)/2 of its two diagrams' positions.  Both cross factors
+  are ragged integer lists with one row per pair, over the pairs of every
+  weight;
 * coefficients in nu and eta: ``_InstantonWeights`` weighs a pair by
   1 / (H(Y+)^2 H(Y-)^2 prod(a + 2 nu)^2) at nu + n for every charge n.
   ``_MayaWeights`` splits Xi * Delta^2 into a self factor per diagram and
-  color, built once, and a cross-color Cauchy product per pair, one
-  broadcast per charge over the pairs of every weight.  Only the Gamma
+  color, built once, and a cross-color Cauchy product per pair: the factors
+  (x+ - x-)/2 - 2 nu where the kinds agree over those where they differ.
+  One evaluator, ``_linear_product``, takes every cross factor, once per
+  charge on the instanton route and twice on the Maya route.  Only the Gamma
   quotients, ``c_ratio`` and the eta phase are not linear in nu, and each
   layer's pair weights are summed exactly with ``complex_fsum``;
 * evaluation in t: the term records (charge, weight, exponent, coeff) give
@@ -34,7 +39,7 @@ import numpy as np
 
 from .errors import BesselTauError, DegenerateParameterError, overflow_guard
 from .monodromy import MonodromyParams
-from .partitions import YoungDiagram, _profile, partitions_of
+from .partitions import YoungDiagram, partitions_of
 from .special import barnes_g_ratio, ln_gamma, upsilon
 
 __all__ = [
@@ -111,25 +116,35 @@ def _padded(seqs) -> np.ndarray:
     return out
 
 
-def _linear_product(offsets, x) -> np.ndarray:
-    """prod(a + x) over each row of an integer offset table.  No series factor
-    vanishes off the lattice 2 nu in Z, so a zero raises DegenerateParameterError."""
-    out = np.prod(offsets + complex(x), axis=-1)
+def _ragged(values, keep) -> tuple:
+    """(values[keep], starts): the kept entries of each row (first axis) in
+    row-major order, as one flat list with the start of every row."""
+    counts = keep.reshape(len(keep), -1).sum(axis=1)
+    return values[keep], np.cumsum(counts) - counts
+
+
+def _linear_product(offsets, starts, x) -> np.ndarray:
+    """prod(a + x) over each row of a ragged integer offset list: row i holds
+    offsets[starts[i]:starts[i + 1]], the last row runs to the end, and an
+    empty row reads 1.  No series factor vanishes off the lattice 2 nu in Z,
+    so a zero raises DegenerateParameterError."""
+    filled = np.diff(starts, append=len(offsets)) > 0
+    out = np.ones(len(starts), dtype=complex)
+    out[filled] = np.multiply.reduceat(offsets + complex(x), starts[filled])
     if not out.all():
-        raise DegenerateParameterError(f"vanishing series factor at 2 nu = {x}")
+        raise DegenerateParameterError(f"vanishing series factor a + x at x = {x}")
     return out
 
 
 def _diagram_pairs(weight_cutoff: int) -> tuple:
-    """The diagrams of weight <= weight_cutoff as row tuples, by weight, and per
-    weight w the (i_plus, i_minus) indices of its pairs' diagrams in ``_pairs`` order."""
+    """The diagrams of weight <= weight_cutoff as row tuples, by weight; the
+    (i_plus, i_minus) indices of the diagrams of every pair, by weight in
+    ``_pairs`` order; and the offsets that split the pairs by weight."""
     diagrams = [rows for w in range(weight_cutoff + 1) for rows in partitions_of(w)]
     index = {rows: i for i, rows in enumerate(diagrams)}
-    pair_index = [
-        np.array([(index[yp], index[ym]) for yp, ym in _pairs(w)]).T
-        for w in range(weight_cutoff + 1)
-    ]
-    return diagrams, pair_index
+    by_weight = [[(index[yp], index[ym]) for yp, ym in _pairs(w)] for w in range(weight_cutoff + 1)]
+    pair_index = np.array([pair for block in by_weight for pair in block]).T
+    return diagrams, pair_index, np.cumsum([len(block) for block in by_weight])[:-1]
 
 
 class _InstantonWeights:
@@ -144,13 +159,14 @@ class _InstantonWeights:
     * per diagram, built here once: its zero-padded column lengths, its boxes
       in row order as j and X_i - i - j + 1, and H(Y)^2 as a float;
     * per pair of weight w, the w offsets a of P = prod(a + 2 nu): h(Y-, Y+)
-      over the boxes of Y-, -h(Y+, Y-) over those of Y+, one gather per weight.
+      over the boxes of Y-, -h(Y+, Y-) over those of Y+, one ragged list over
+      the pairs of every weight, from one gather.
 
     ``z_bif_table`` takes the same gather over every two diagrams.
     """
 
     def __init__(self, weight_cutoff: int):
-        diagrams, pair_index = _diagram_pairs(weight_cutoff)
+        diagrams, (i_plus, i_minus), self._splits = _diagram_pairs(weight_cutoff)
         rows = _padded(diagrams)
         k = np.arange(rows.shape[1])
         grid = k < rows[:, :, None]  # (diagram, i - 1, j - 1) inside the diagram
@@ -162,23 +178,22 @@ class _InstantonWeights:
         every = np.arange(len(diagrams))
         hooks = np.where(self._filled, self._z_bif_offsets(every, every)[0][:, : k.size], 1)
         self._hook_sq = np.prod(hooks, axis=1, dtype=float) ** 2
-        self._tables = []  # per weight: 1 / (H(Y+)^2 H(Y-)^2) and the offsets of P, per pair
-        for w, (i_plus, i_minus) in enumerate(pair_index):
-            a, boxes = self._z_bif_offsets(i_minus, i_plus, w)
-            inv_hook_sq = 1 / (self._hook_sq[i_plus] * self._hook_sq[i_minus])
-            self._tables.append((inv_hook_sq, a[boxes].reshape(len(i_plus), w)))
+        # per pair: 1 / (H(Y+)^2 H(Y-)^2), and the offsets of P as one ragged list
+        self._inv_hook_sq = 1 / (self._hook_sq[i_plus] * self._hook_sq[i_minus])
+        self._offsets, self._starts = _ragged(*self._z_bif_offsets(i_minus, i_plus))
 
-    def _z_bif_offsets(self, x, y, width=None) -> tuple:
+    def _z_bif_offsets(self, x, y) -> tuple:
         """(a, boxes) with z_bif(v | X, Y) = prod(a + v) over the slots where boxes is set,
-        for the diagrams x[p] and y[p] of each p: h(X, Y) at the first ``width`` box slots
-        of X, then -h(Y, X) at those of Y."""
-        row, j, filled = (table[:, :width] for table in (self._box_row, self._box_j, self._filled))
+        for the diagrams x[p] and y[p] of each p: h(X, Y) at the box slots of X, then
+        -h(Y, X) at those of Y."""
+        row, j, filled = self._box_row, self._box_j, self._filled
         h_xy, h_yx = row[x] + self._cols[y[:, None], j[x]], row[y] + self._cols[x[:, None], j[y]]
         return np.concatenate([h_xy, -h_yx], axis=1), np.concatenate([filled[x], filled[y]], axis=1)
 
     def weights(self, nu) -> list:
         """1 / prod_{s, s'} z_bif(nu (s - s') | Y^{s'}, Y^s) of the pairs of each weight."""
-        return [inv / _linear_product(a, 2 * complex(nu)) ** 2 for inv, a in self._tables]
+        cross = _linear_product(self._offsets, self._starts, 2 * complex(nu))
+        return np.split(self._inv_hook_sq / cross**2, self._splits)
 
     def z_bif_table(self, values) -> np.ndarray:
         """z_bif(v | Y+, Y-) at each v of ``values`` for every two diagrams, indexed (v, Y+, Y-)."""
@@ -186,6 +201,37 @@ class _InstantonWeights:
         a, boxes = self._z_bif_offsets(*np.indices((n, n)).reshape(2, -1))
         factors = np.where(boxes, a + np.asarray(values, dtype=complex)[:, None, None], 1)
         return np.prod(factors, axis=-1).reshape(-1, n, n)
+
+
+def _maya_positions(diagrams, charge_cutoff: int) -> dict:
+    """The doubled Maya positions of every diagram at every charge |c| <= Q, as
+    in ``partitions._profile``: per charge c a zero-padded int16 (diagram, slot)
+    array, particles ascending, then holes ascending, so that kind = np.sign(x).
+
+    With rows r_i and columns r'_j, the positions 2 (r_i - i) + 1 are occupied
+    and 2 (j - r'_j) - 1 empty at charge 0 (i, j >= 1, each set ordered by i
+    and by j), and charge c shifts both by 2 c.  Rows and columns padded to
+    length + Q hold every particle and hole at |c| <= Q.  Raises OverflowError
+    when the difference of two positions would not fit int16.
+    """
+    rows = _padded(diagrams).astype(int)
+    n = rows.shape[1] + charge_cutoff
+    i = np.arange(1, n + 1)
+    cols = (rows[:, :, None] >= i).sum(axis=1)
+    rows = np.pad(rows, ((0, 0), (0, charge_cutoff)))
+    profile = np.concatenate([2 * (rows - i)[:, ::-1] + 1, 2 * (i - cols) - 1], axis=1)
+    if 2 * (int(np.abs(profile).max(initial=0)) + 2 * charge_cutoff) > np.iinfo(np.int16).max:
+        raise OverflowError(f"Maya positions at charge cutoff {charge_cutoff} exceed int16")
+    # particles are the occupied positions above 0, holes the empty ones below
+    side = np.repeat([1, -1], n)
+    positions = {}
+    for c in range(-charge_cutoff, charge_cutoff + 1):
+        x = profile + 2 * c
+        keep = x * side > 0
+        counts = keep.sum(axis=1)
+        positions[c] = np.zeros((len(x), counts.max()), dtype=np.int16)
+        positions[c][np.arange(counts.max()) < counts[:, None]] = x[keep]
+    return positions
 
 
 def _cauchy(diff, kinds) -> tuple:
@@ -203,31 +249,31 @@ class _MayaWeights:
     2 nu) / Gamma(1 - 2 nu))^{2Q} R^2, with R the Cauchy product of the
     momentum differences to the power k k' over all pairs of positions,
     over m! (1 - 2 s nu)_m per particle (m = p - 1/2) and m! (2 s nu)_{m+1}
-    per hole (m = |h| - 1/2); signs drop out of the square.  R splits into
+    per hole (m = |h| - 1/2); signs drop out of the square.  In three layers:
 
-    * a self factor per charged diagram and color, built here once: the
-      integer differences (x - x')/2 within the diagram, over its
+    * structure, free of nu: the positions of every diagram at every charge,
+      shifted from one profile at charge 0 (``_maya_positions``), and per
+      charge Q the integer cross differences (x+ - x-)/2 over Y+ x Y- of
+      every pair, as two ragged lists: where the kinds agree and where they
+      differ;
+    * coefficients, built here once: a self factor per charged diagram and
+      color, the integer differences (x - x')/2 within the diagram over its
       Pochhammer factors, read off one cumulative product;
-    * a cross factor per pair, (x+ - x-)/2 - 2 nu over Y+ x Y-, one masked
-      broadcast per charge over the pairs of every weight in ``weights``.
+    * evaluation: ``weights(q)`` takes the cross factor (x+ - x-)/2 - 2 nu of
+      every pair as two ``_linear_product`` calls over the ragged lists.
     """
 
     def __init__(self, nu, weight_cutoff: int, charge_cutoff: int):
         nu = self.nu = complex(nu)
-        diagrams, pair_index = _diagram_pairs(weight_cutoff)
-        self._pair_index = np.concatenate(pair_index, axis=1)
-        self._splits = np.cumsum([len(i_plus) for i_plus, _ in pair_index])[:-1]
-        # doubled positions of every diagram at charge c, zero-padded: kind = np.sign(x)
-        self._positions = {
-            c: _padded(p + h for p, h in (_profile(rows, c) for rows in diagrams))
-            for c in range(-charge_cutoff, charge_cutoff + 1)
-        }
-        # by (color s = +1, -1; particle, hole; m): m! (1 - 2 s nu)_m and m! (2 s nu)_{m+1}
-        m_max = max(int(np.abs(x).max(initial=1)) for x in self._positions.values()) // 2
-        k = np.arange(m_max + 1)
+        # by (color s = +1, -1; particle, hole; m): m! (1 - 2 s nu)_m and m! (2 s nu)_{m+1}.
+        # No position exceeds 2 (W + Q) - 1 in size, so m < W + Q; a cutoff whose
+        # factors overflow fails here, before any position table is made.
+        k = np.arange(max(weight_cutoff + charge_cutoff, 1))
         steps = k * (k - 2 * nu * np.array([[[1], [-1]], [[-1], [1]]]))
         steps[:, 0, 0], steps[:, 1, 0] = 1, (2 * nu, -2 * nu)
         pochhammer = np.cumprod(steps, axis=-1)
+        diagrams, self._pair_index, self._splits = _diagram_pairs(weight_cutoff)
+        self._positions = _maya_positions(diagrams, charge_cutoff)
         self._self = {}
         for c, x in self._positions.items():
             kind = np.sign(x)
@@ -241,17 +287,24 @@ class _MayaWeights:
                 if not poch.all():
                     raise DegenerateParameterError(f"vanishing Pochhammer factor at nu = {nu}")
                 self._self[c, s] = num / den / poch
+        # per charge Q: (x+ - x-)/2 of each pair, where the kinds agree and where they differ
+        i_plus, i_minus = self._pair_index
+        self._cross = {}
+        for q in range(-charge_cutoff, charge_cutoff + 1):
+            x_plus, x_minus = self._positions[q], self._positions[-q]
+            # every (slot of Y+, slot of Y-) of a pair, flattened row-major
+            a, b = np.indices((x_plus.shape[1], x_minus.shape[1])).reshape(2, -1)
+            x_plus, x_minus = x_plus[:, a][i_plus], x_minus[:, b][i_minus]
+            diff, kinds = (x_plus - x_minus) // 2, np.sign(x_plus) * np.sign(x_minus)
+            self._cross[q] = _ragged(diff, kinds > 0), _ragged(diff, kinds < 0)
 
     def weights(self, q: int) -> list:
         """Xi Delta^2 of the pairs of each weight at charge Q."""
         i_plus, i_minus = self._pair_index
-        x_plus, x_minus = self._positions[q][i_plus], self._positions[-q][i_minus]
-        num, den = _cauchy(
-            (x_plus[:, :, None] - x_minus[:, None, :]) // 2 - 2 * self.nu,
-            np.sign(x_plus)[:, :, None] * np.sign(x_minus)[:, None, :],
-        )
-        if not (num.all() and den.all()):
-            raise DegenerateParameterError(f"vanishing series factor at nu = {self.nu}")
+        (agree, agree_starts), (differ, differ_starts) = self._cross[q]
+        shift = -(2 * self.nu)  # so that a + shift rounds as a - 2 nu
+        num = _linear_product(agree, agree_starts, shift)
+        den = _linear_product(differ, differ_starts, shift)
         ratio = self._self[q, 1][i_plus] * self._self[-q, -1][i_minus] * num / den
         return np.split((-1) ** q * _gamma_quotient(self.nu, q) * ratio**2, self._splits)
 

@@ -9,12 +9,14 @@ import pytest
 from scipy.special import loggamma
 
 from besseltau import nekrasov, partitions
-from besseltau.errors import DegenerateParameterError, PoleError
+from besseltau.errors import BesselTauError, DegenerateParameterError, PoleError
 from besseltau.monodromy import MonodromyParams
 from besseltau.nekrasov import (
     SeriesTruncation,
     _diagram_pairs,
     _InstantonWeights,
+    _linear_product,
+    _maya_positions,
     _MayaWeights,
     _pairs,
     c_ratio,
@@ -175,7 +177,7 @@ class TestTables:
 
     def test_hook_squares_match_hook(self):
         # each diagram's stored H(Y)^2 against partitions.hook, box by box
-        diagrams, _ = _diagram_pairs(8)
+        diagrams = _diagram_pairs(8)[0]
         hook_sq = _InstantonWeights(8)._hook_sq
         assert len(hook_sq) == len(diagrams)
         for rows, h_sq in zip(diagrams, hook_sq):
@@ -213,6 +215,21 @@ class TestTables:
         calls.clear()
         YoungDiagram((2, 1)).conjugate()
         assert calls == [(2, 1)]
+
+    def test_linear_product_is_ragged(self):
+        # rows of 2, 0, 3, 0 and 1 offsets: an empty row reads 1, and each
+        # product equals np.prod over the row padded with factors 1
+        offsets, starts = np.array([1, -2, 4, 0, 3, -1], dtype=np.int16), np.array([0, 2, 2, 5, 5])
+        x = 0.37 - 0.21j
+        padded = np.ones((5, 3), dtype=complex)
+        for row, (a, b) in enumerate(zip(starts, [*starts[1:], len(offsets)])):
+            padded[row, : b - a] = offsets[a:b] + x
+        out = _linear_product(offsets, starts, x)
+        assert out[1] == out[3] == 1
+        assert out.tobytes() == np.prod(padded, axis=-1).tobytes()
+        assert _linear_product(offsets[:0], np.zeros(3, dtype=int), x).tolist() == [1, 1, 1]
+        with pytest.raises(DegenerateParameterError, match="vanishing series factor"):
+            _linear_product(offsets, starts, 2.0)
 
     def test_pairs_enumerate_each_weight_once(self):
         for w in range(7):
@@ -268,40 +285,75 @@ class TestMayaSeries:
             assert c == pytest.approx(c_dual, rel=1e-12, abs=0), (q, w)
 
     @pytest.mark.parametrize("w_max, q_max", [(10, 3), (4, 0)])
-    def test_profile_walks_once_per_diagram_and_charge(self, monkeypatch, w_max, q_max):
-        # one walk per diagram of weight <= W and charge |c| <= Q, repeated
-        # in full by a second build: nothing is cached across builds
+    def test_series_build_walks_no_profile(self, monkeypatch, w_max, q_max):
+        # the positions come from one vectorized table per build, with no
+        # profile walk, and a second build makes them anew: nothing is cached
         calls = []
-
-        def counted(rows, q):
-            calls.append((rows, q))
-            return _profile(rows, q)
-
-        monkeypatch.setattr(nekrasov, "_profile", counted)
+        for mod in (partitions, nekrasov):
+            if hasattr(mod, "_profile"):
+                monkeypatch.setattr(mod, "_profile", counted(calls, "_profile", _profile))
+        positions = counted(calls, "_maya_positions", _maya_positions)
+        monkeypatch.setattr(nekrasov, "_maya_positions", positions)
         trunc = SeriesTruncation(w_max, q_max)
-        bound = (2 * q_max + 1) * sum(len(partitions_of(k)) for k in range(w_max + 1))
         tau_series_terms(P_GENERIC, trunc)
-        first = len(calls)
-        assert 0 < first <= bound
+        assert calls == ["_maya_positions"]
         tau_series_terms(MonodromyParams.from_nu(0.21 + 0.03j, -0.07), trunc)
-        assert len(calls) == 2 * first
+        assert calls == ["_maya_positions"] * 2
+        # the counter counts
+        partitions._profile((1,), 0)
+        assert calls[-1] == "_profile"
 
     def test_weights_are_built_per_charge(self, monkeypatch):
-        # one cross-color broadcast and one Gamma quotient per charge over the
-        # pairs of every weight (the build adds one self-factor broadcast per
-        # charge); the lemma check takes the box side's upsilon once per shift
-        # and the closed form's two once per charge
+        # per charge over the pairs of every weight: the Maya route evaluates
+        # its two cross-factor lists and one Gamma quotient (the build adds one
+        # self-factor broadcast), the instanton route one cross-factor list;
+        # the lemma check takes the box side's upsilon once per shift and the
+        # closed form's two once per charge
         calls = []
-        for name in ("_cauchy", "_gamma_quotient", "upsilon"):
+        for name in ("_linear_product", "_cauchy", "_gamma_quotient", "upsilon"):
             monkeypatch.setattr(nekrasov, name, counted(calls, name, getattr(nekrasov, name)))
         q_max = 3
         tau_series_terms(P_GENERIC, SeriesTruncation(10, q_max))
-        assert 0 < calls.count("_cauchy") <= 2 * (2 * q_max + 1)
+        assert calls.count("_linear_product") == 2 * (2 * q_max + 1)
+        assert calls.count("_cauchy") == 2 * q_max + 1
         assert 0 < calls.count("_gamma_quotient") <= 2 * q_max + 1
+        calls.clear()
+        z_dual_terms(P_GENERIC, SeriesTruncation(10, q_max))
+        assert calls.count("_linear_product") == 2 * q_max + 1
         calls.clear()
         q_max = 2
         check_lemma_identities(0.37, 3, q_max)
         assert 0 < calls.count("upsilon") <= (4 * q_max + 1) + 2 * (2 * q_max + 1)
+
+    def test_positions_match_profile_walk(self):
+        # the vectorized table against the scalar walk, element by element and
+        # in order (particles ascending, then holes ascending), zero-padded
+        diagrams = _diagram_pairs(6)[0]
+        positions = _maya_positions(diagrams, 3)
+        assert sorted(positions) == list(range(-3, 4))
+        for c, table in positions.items():
+            assert table.dtype == np.int16 and len(table) == len(diagrams)
+            for rows, x in zip(diagrams, table.tolist()):
+                particles, holes = _profile(rows, c)
+                walk = [*particles, *holes]
+                assert x == walk + [0] * (len(x) - len(walk)), (rows, c)
+            assert table.shape[1] == max(len(sum(_profile(rows, c), ())) for rows in diagrams)
+
+    def test_positions_check_the_int16_range(self):
+        # a cutoff whose position differences leave int16 is refused before
+        # any table is made, never wrapped
+        assert _maya_positions([(8000,)], 0)[0].tolist() == [[15999, -1]]
+        for diagrams, charge_cutoff in (([(8200,)], 0), ([()], 9000)):
+            with pytest.raises(OverflowError, match="int16"):
+                _maya_positions(diagrams, charge_cutoff)
+
+    def test_huge_charge_cutoff_fails_before_positions(self, monkeypatch):
+        # the Pochhammer table, sized by W + Q, overflows first
+        calls = []
+        monkeypatch.setattr(nekrasov, "_maya_positions", counted(calls, "_maya_positions", _maya_positions))
+        with pytest.raises(BesselTauError, match="series coefficients overflow"):
+            tau_series_terms(P_GENERIC, SeriesTruncation(0, 4000))
+        assert calls == []
 
     def test_colored_positions_sum_rule(self):
         # the walk's doubled positions: each Maya diagram contributes
@@ -374,20 +426,19 @@ class TestLemmaTables:
 
     def test_lemma_row_makes_no_diagram_objects(self, monkeypatch):
         # both sides are read off the series tables: no YoungDiagram, no scalar
-        # z_bif, and one profile walk per diagram and charge
+        # z_bif and no profile walk
         calls = []
         post_init = YoungDiagram.__post_init__
         monkeypatch.setattr(YoungDiagram, "__post_init__", counted(calls, "YoungDiagram", post_init))
         monkeypatch.setattr(nekrasov, "z_bif", counted(calls, "z_bif", z_bif))
-        monkeypatch.setattr(nekrasov, "_profile", counted(calls, "_profile", _profile))
+        for mod in (partitions, nekrasov):
+            if hasattr(mod, "_profile"):
+                monkeypatch.setattr(mod, "_profile", counted(calls, "_profile", _profile))
         check_lemma_identities(0.37, self.W, self.Q)
-        n_diagrams = sum(len(partitions_of(k)) for k in range(self.W + 1))
-        assert "YoungDiagram" not in calls and "z_bif" not in calls
-        assert 0 < calls.count("_profile") <= (2 * self.Q + 1) * n_diagrams
+        assert calls == []
         # the counters count
-        calls.clear()
         nekrasov.z_bif(0.37, YoungDiagram((1,)), EMPTY)
-        nekrasov._profile((1,), 0)
+        partitions._profile((1,), 0)
         assert set(calls) == {"YoungDiagram", "z_bif", "_profile"}
 
     def test_row_can_fail(self, monkeypatch):
