@@ -21,7 +21,9 @@ basis.  The mode blocks come in three layers:
 * evaluation: ``_cauchy_block`` is one broadcast psi x psibar / (p + q +
   (s - s') nu) times the twist phase, for A and for D(1), and
   D(t) = D(1) * t**E with the exponents ``mode_exponents``; ``TauRoute``
-  takes det(I - A D) from one such build.
+  takes det(I - A D) from one such build.  E is the Cauchy denominator of
+  D(1), so theta D(t) = E * D(t) is rank one, and ``_d_factors`` gives its
+  factors for the log-derivatives.
 
 Fourier modes extracted from circle samples of the continuous kernels
 (``modes_by_quadrature``) serve as an independent cross-check of the
@@ -148,13 +150,15 @@ def _psi(nu, n: int, branch_sign=None):
     return psi, psibar
 
 
-def _cauchy_block(nu, twist, n: int, branch_sign=None) -> np.ndarray:
-    """Mode block with rows (x, s_x) and columns (y, s_y), both in ``_modes`` order.
+def _cauchy_block(nu, twist, n: int, branch_sign=None) -> tuple:
+    """Mode block with rows (x, s_x) and columns (y, s_y), both in ``_modes``
+    order, and its numerator: (block, u, v) with den * block = outer(u, v).
 
     Entry psi^{y;s_y}(nu) psibar_{x;s_x}(nu) / (x + y + (s_x - s_y) nu)
     times the phase exp(i pi twist (s_x - s_y)): a Cauchy matrix up to
-    diagonal factors.  Raises CauchyCollisionError when a denominator
-    (a difference of shifted momenta) vanishes.
+    diagonal factors, u = psibar exp(i pi twist s) and v = psi exp(-i pi twist s).
+    Raises CauchyCollisionError when a denominator (a difference of shifted
+    momenta) vanishes.
     """
     p, s = _modes(n)
     psi, psibar = _psi(nu, n, branch_sign)
@@ -168,7 +172,9 @@ def _cauchy_block(nu, twist, n: int, branch_sign=None) -> np.ndarray:
         )
     # s_x - s_y takes the values -2, 0, 2
     phases = np.array([cmath.exp(1j * cmath.pi * twist * k) for k in (-2, 0, 2)])
-    return psi[None, :] * psibar[:, None] / den * phases[dcolor // 2 + 1]
+    block = psi[None, :] * psibar[:, None] / den * phases[dcolor // 2 + 1]
+    twist_s = np.exp(1j * np.pi * twist * s)
+    return block, psibar * twist_s, psi / twist_s
 
 
 def mode_matrix_a(params: MonodromyParams, n: int, branch_sign=None) -> np.ndarray:
@@ -180,7 +186,7 @@ def mode_matrix_a(params: MonodromyParams, n: int, branch_sign=None) -> np.ndarr
     ``branch_sign`` optionally flips the square-root branch inside psi and
     psibar per color, {+1: +-1, -1: +-1}.
     """
-    return _cauchy_block(params.nu, 2 * params.eta - params.sigma, n, branch_sign)
+    return _cauchy_block(params.nu, 2 * params.eta - params.sigma, n, branch_sign)[0]
 
 
 def mode_exponents(nu, n: int) -> np.ndarray:
@@ -202,8 +208,21 @@ def mode_matrix_d(params: MonodromyParams, t, n: int, branch_sign=None) -> np.nd
     t = complex(t)
     if t == 0:
         return np.zeros((2 * n, 2 * n), dtype=complex)
-    core = _cauchy_block(-params.nu, -params.sigma, n, branch_sign)
+    core = _cauchy_block(-params.nu, -params.sigma, n, branch_sign)[0]
     return core * t ** mode_exponents(params.nu, n)
+
+
+def _d_factors(params: MonodromyParams, n: int) -> tuple:
+    """(D(1), u, v, e, f): the t-independent d-modes and their rank-one theta.
+
+    The exponents split as E = mode_exponents(nu, n) = e + f^T with
+    e = p - s nu over the rows and f = p + s nu over the columns, and
+    E * D(1) = outer(u, v), so theta D(t) = outer(u t**e, v t**f).  D(1) is
+    the a-block under nu -> -nu with twist -sigma, and u, v its numerators.
+    """
+    core, u, v = _cauchy_block(-params.nu, -params.sigma, n)
+    p, s = _modes(n)
+    return core, u, v, p - s * params.nu, p + s * params.nu
 
 
 def modes_by_quadrature(kern, n: int, block: str = "a") -> np.ndarray:

@@ -3,11 +3,12 @@
 Both routes sum over pairs (Y+, Y-) of Young diagrams, and every factor
 of a pair's weight is linear in nu: a + b nu, a and b integers.  Three layers:
 
-* structure, free of t and of the parameters: ``_pairs(w)`` enumerates the
-  pairs of weight w as row tuples, and ``_diagram_pairs`` indexes each pair
-  by its two diagrams.  The instanton route holds each diagram's squared
-  hook product H(Y)^2 and, per pair of weight w, the w integer offsets a of
-  its cross factor z_bif(2 nu | Y-, Y+) = prod(a + 2 nu).  The Maya route
+* structure, free of t and of the parameters: ``_diagram_pairs`` lists the
+  diagrams by weight and indexes every pair (Y+, Y-) by its two diagrams, in
+  pair order: by weight w, then |Y+|, then Y+, then Y-.  The instanton route
+  holds each diagram's squared hook product H(Y)^2 and, per pair of weight
+  w, the w integer offsets a of its cross factor z_bif(2 nu | Y-, Y+) =
+  prod(a + 2 nu).  The Maya route
   holds per charge the padded particle and hole positions of every diagram,
   one vectorized profile at charge 0 shifted by 2 c, and per pair the integer
   differences (x+ - x-)/2 of its two diagrams' positions.  Both cross factors
@@ -98,14 +99,6 @@ def z_bif(nu, y_plus: YoungDiagram, y_minus: YoungDiagram) -> complex:
 # Structure: one pair enumeration and index, per-diagram tables, one evaluator
 
 
-def _pairs(w: int):
-    """Pairs (rows_plus, rows_minus) of partitions of total weight w, in a fixed order."""
-    for w_plus in range(w + 1):
-        for rows_plus in partitions_of(w_plus):
-            for rows_minus in partitions_of(w - w_plus):
-                yield rows_plus, rows_minus
-
-
 def _padded(seqs) -> np.ndarray:
     """Integer sequences -> one int16 array, each row zero-padded to the longest."""
     seqs = list(seqs)
@@ -137,19 +130,30 @@ def _linear_product(offsets, starts, x) -> np.ndarray:
 
 
 def _diagram_pairs(weight_cutoff: int) -> tuple:
-    """The diagrams of weight <= weight_cutoff as row tuples, by weight; the
-    (i_plus, i_minus) indices of the diagrams of every pair, by weight in
-    ``_pairs`` order; and the offsets that split the pairs by weight."""
-    diagrams = [rows for w in range(weight_cutoff + 1) for rows in partitions_of(w)]
-    index = {rows: i for i, rows in enumerate(diagrams)}
-    by_weight = [[(index[yp], index[ym]) for yp, ym in _pairs(w)] for w in range(weight_cutoff + 1)]
-    pair_index = np.array([pair for block in by_weight for pair in block]).T
-    return diagrams, pair_index, np.cumsum([len(block) for block in by_weight])[:-1]
+    """The diagrams of weight <= weight_cutoff as row tuples, by weight and
+    then in ``partitions_of`` order; the (i_plus, i_minus) indices of the
+    diagrams of every pair in pair order (by weight w, then |Y+|, then Y+,
+    then Y-); and the offsets that split the pairs by weight."""
+    by_weight = [partitions_of(w) for w in range(weight_cutoff + 1)]
+    counts = np.array([len(block) for block in by_weight])
+    starts = np.cumsum(counts) - counts
+    # block (w, v) holds the pairs of weight w with |Y+| = v: each diagram
+    # of weight v against every diagram of weight w - v
+    w, v = np.tril_indices(weight_cutoff + 1)
+    sizes = counts[v] * counts[w - v]
+    inner = np.repeat(counts[w - v], sizes)
+    k = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    pair_index = np.array([
+        np.repeat(starts[v], sizes) + k // inner,
+        np.repeat(starts[w - v], sizes) + k % inner,
+    ])
+    splits = np.cumsum(np.convolve(counts, counts)[:weight_cutoff + 1])[:-1]
+    return [rows for block in by_weight for rows in block], pair_index, splits
 
 
 class _InstantonWeights:
     """1 / prod_{s, s'} z_bif(nu (s - s') | Y^{s'}, Y^s) of every pair of weight
-    <= weight_cutoff, at any nu: ``weights(nu)`` by weight, in ``_pairs`` order.
+    <= weight_cutoff, at any nu: ``weights(nu)`` by weight, in pair order.
 
     With z_bif(0 | Y, Y) = (-1)^{|Y|} H(Y)^2, H(Y) the hook product, and the
     reflection z_bif(-2 nu | Y+, Y-) = (-1)^w z_bif(2 nu | Y-, Y+), the weight
@@ -241,7 +245,7 @@ def _cauchy(diff, kinds) -> tuple:
 
 class _MayaWeights:
     """Xi Delta^2 of every pair of weight <= weight_cutoff at every charge
-    |Q| <= charge_cutoff, at one nu: ``weights(q)`` by weight, in ``_pairs`` order.
+    |Q| <= charge_cutoff, at one nu: ``weights(q)`` by weight, in pair order.
 
     Y+ sits at charge Q with color s = +1 and Y- at -Q with s = -1.  Their
     particles p > 0 and holes h < 0, of kind k = +1 and -1, are doubled

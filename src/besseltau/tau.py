@@ -13,11 +13,13 @@ D(1) * t**E, or the series records c t^e) evaluated in powers of t.  A
 a single point, build a route and call it once.
 
 The log-derivatives theta^k log tau_full (theta = t d/dt, prefactor
-included) are exact for every route: one trace formula in the matrices
-B_k = M^{-1} theta^k M, with M = I - A D for the determinant and the
-1 x 1 series sum for the other two routes.  The sigma-form and
-Painleve III (D8) residuals then quantify how well each route
-satisfies the defining ODEs.
+included) are exact for every route: one trace formula, the cumulants of
+the moments B_k = M^{-1} theta^k M.  For the series routes M is the 1 x 1
+sum.  For the determinant M = I - A D, and theta D = E * D is rank one,
+u v^T, so every trace of the n x n B_k is the trace of a 4 x 4 matrix:
+one solve with 4 right-hand sides per t.  The sigma-form and Painleve
+III (D8) residuals then quantify how well each route satisfies the
+defining ODEs.
 
 Derivatives require real t > 0 and raise ValueError otherwise; complex
 t is accepted for plain evaluation with principal branches throughout
@@ -26,6 +28,7 @@ is the one check battery: CLI ``check`` prints its rows.
 """
 
 import cmath
+import math
 import warnings
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -34,6 +37,7 @@ import numpy as np
 
 from .errors import BesselTauError, overflow_guard
 from .kernel import (
+    _d_factors,
     kernel_a,
     kernel_d,
     mode_exponents,
@@ -113,34 +117,57 @@ def _sigma_form_defect(t, z, zp, zpp) -> float:
     return abs((t * zpp) ** 2 - 4 * zp**2 * (z - t * zp) + 4 * zp)
 
 
+#: the powers 0..3 of e and f in the moment factors, and for k = 1..4 the
+#: matrix C_k[j, l] = C(k - 1, j) on the antidiagonal j + l = k - 1
+_POWERS = np.arange(4)
+_PASCAL = np.array(
+    [[[math.comb(k, j) * (j + l == k) for l in _POWERS] for j in _POWERS] for k in _POWERS],
+    dtype=float,
+)
+
+
 class _Determinant:
-    """Fredholm route: A and D(1) at n + 2 modes with the exponents E."""
+    """Fredholm route: A and D(1) at n + 2 modes with the exponents E, and
+    the factors u1, v1, e, f of the rank-one theta D at n modes."""
 
     def __init__(self, params: MonodromyParams, n: int):
         self.n = n
         self.a = mode_matrix_a(params, n + 2)
-        self.d1 = mode_matrix_d(params, 1.0, n + 2)
+        self.d1, u1, v1, e, f = _d_factors(params, n + 2)
         self.exps = mode_exponents(params.nu, n + 2)
+        self.u1, self.v1, self.e, self.f = (x[:2 * n] for x in (u1, v1, e, f))
 
     def corners(self, t: complex, *orders):
-        """(A, D(t), E) of truncation k for each k in ``orders``: by the
+        """(A, D(t)) of truncation k for each k in ``orders``: by the
         interleaved mode order, the leading 2k x 2k corners of this build."""
         d = self.d1 * t**self.exps
-        return [tuple(x[:2 * k, :2 * k] for x in (self.a, d, self.exps)) for k in orders]
+        return [tuple(x[:2 * k, :2 * k] for x in (self.a, d)) for k in orders]
 
     def values(self, t: complex):
         """det(I - A D) at n and n + 2 modes, one LU factorization each."""
         return tuple(
             complex(np.linalg.det(np.eye(len(a)) - a @ d))
-            for a, d, _ in self.corners(t, self.n, self.n + 2)
+            for a, d in self.corners(t, self.n, self.n + 2)
         )
 
     def moments(self, t: complex):
-        """B_k = -M^{-1} A (E^k * D) with M = I - A D, since theta^k D = E^k * D."""
-        [(a, d, exps)] = self.corners(t, self.n)
+        """4 x 4 matrices b_k with the traces of words of B_k = -M^{-1} A theta^k D,
+        M = I - A D.
+
+        theta D = E * D = u v^T is rank one (u = u1 t**e, v = v1 t**f), and
+        E = e + f^T, so theta^k D = sum_j C(k-1, j) diag(e)^j u v^T diag(f)^(k-1-j)
+        and B_k = X (-C_k) W^T, with X = M^{-1} A [u, e u, e^2 u, e^3 u],
+        W = [v, f v, f^2 v, f^3 v] and C_k[j, l] = C(k-1, j) on j + l = k - 1.
+        The trace is cyclic, so every word in the B_k has the trace of the same
+        word in b_k = -C_k W^T X.  A U is formed before the solve: solving
+        for M^{-1} A first loses digits of theta^4 at large t.
+        """
+        [(a, d)] = self.corners(t, self.n)
         m = np.eye(len(a)) - a @ d
-        rhs = np.hstack([a @ (exps**k * d) for k in range(1, 5)])
-        return np.hsplit(-np.linalg.solve(m, rhs), 4)
+        u, v = self.u1 * t**self.e, self.v1 * t**self.f
+        x = np.linalg.solve(m, a @ (u[:, None] * self.e[:, None] ** _POWERS))
+        g = (v[:, None] * self.f[:, None] ** _POWERS).T @ x
+        return [-c @ g for c in _PASCAL]
 
 
 class _Series:

@@ -1,11 +1,24 @@
-"""Scalar references that share no code with the package's tables.
+"""References that share no code with the package's tables or formulas.
 
-Each computes one value at a time with plain Python products, so a test can
-hold a vectorized table against it entry by entry.
+The scalar ones compute one value at a time with plain Python products, so a
+test can hold a vectorized table against it entry by entry.
+``fredholm_moments`` is the direct n x n form of the Fredholm moments that
+the route reads off its rank-one theta D.
 """
 
+import numpy as np
+
 from besseltau.errors import DegenerateParameterError
-from besseltau.partitions import YoungDiagram, _profile
+from besseltau.partitions import YoungDiagram, _profile, partitions_of
+
+
+def pairs(w: int):
+    """Pairs (rows_plus, rows_minus) of partitions of total weight w in pair
+    order: by |Y+|, then Y+, then Y-, each in ``partitions_of`` order."""
+    for w_plus in range(w + 1):
+        for rows_plus in partitions_of(w_plus):
+            for rows_minus in partitions_of(w - w_plus):
+                yield rows_plus, rows_minus
 
 
 def pochhammer(alpha, k: int) -> complex:
@@ -55,3 +68,11 @@ def z_bif_tilde(nu, y_plus: YoungDiagram, q_plus: int, y_minus: YoungDiagram, q_
     if den == 0:
         raise DegenerateParameterError(f"z_bif_tilde pole at nu = {nu}")
     return prod * num / den
+
+
+def fredholm_moments(a, d, exps) -> list:
+    """B_k = -M^{-1} A (E^k * D), k = 1..4, with M = I - A D: theta^k D = E^k * D
+    entrywise for D = D(1) * t**E.  One solve with 4n right-hand sides."""
+    m = np.eye(len(a)) - a @ d
+    rhs = np.hstack([a @ (exps**k * d) for k in range(1, 5)])
+    return np.hsplit(-np.linalg.solve(m, rhs), 4)

@@ -19,7 +19,7 @@ BUILDERS = {
     "tau_series_terms": "besseltau.nekrasov",
     "z_dual_terms": "besseltau.nekrasov",
     "mode_matrix_a": "besseltau.kernel",
-    "mode_matrix_d": "besseltau.kernel",
+    "_d_factors": "besseltau.kernel",
 }
 
 

@@ -26,11 +26,11 @@ from besseltau.kernel import (
     rank_one_residual,
 )
 from besseltau.monodromy import MonodromyParams
-from besseltau.nekrasov import _MayaWeights, _pairs
+from besseltau.nekrasov import _MayaWeights
 from besseltau.partitions import _profile
 from besseltau.special import ln_gamma
 from besseltau.tau import TauRoute
-from oracles import pochhammer
+from oracles import pairs, pochhammer
 
 P_REAL = MonodromyParams.from_nu(0.37, 0.11)
 P_COMPLEX = MonodromyParams(0.2 - 0.3j, 0.07 + 0.04j)
@@ -331,7 +331,7 @@ class TestPrincipalMinors:
         for w in range(w_max + 1):
             for q in range(-q_max, q_max + 1):
                 weights = maya.weights(q)[w]
-                for (rows_plus, rows_minus), weight in zip(_pairs(w), weights):
+                for (rows_plus, rows_minus), weight in zip(pairs(w), weights):
                     (pp, hp), (pm, hm) = _profile(rows_plus, q), _profile(rows_minus, -q)
                     # the doubled position |x| and color s index mode |x| - 1 + (s == -1)
                     cols = [p - 1 for p in pp] + list(pm)

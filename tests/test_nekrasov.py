@@ -18,7 +18,6 @@ from besseltau.nekrasov import (
     _linear_product,
     _maya_positions,
     _MayaWeights,
-    _pairs,
     c_ratio,
     check_lemma_identities,
     quasi_periodicity_residual,
@@ -30,7 +29,7 @@ from besseltau.nekrasov import (
 from besseltau.partitions import EMPTY, YoungDiagram, _profile, hook, partitions_of
 from besseltau.special import upsilon
 from besseltau.tau import TauRoute
-from oracles import z_bif_tilde
+from oracles import pairs, z_bif_tilde
 
 # weight-2 instanton coefficients frozen from a 40-digit independent run
 W2_REAL = 18.69462911040480561  # nu = 0.37
@@ -167,8 +166,8 @@ class TestTables:
         inst = _InstantonWeights(5)
         for w in range(6):
             weights = inst.weights(nu)[w]
-            assert len(weights) == sum(1 for _ in _pairs(w))
-            for (rows_plus, rows_minus), weight in zip(_pairs(w), weights):
+            assert len(weights) == sum(1 for _ in pairs(w))
+            for (rows_plus, rows_minus), weight in zip(pairs(w), weights):
                 y = {1: YoungDiagram(rows_plus), -1: YoungDiagram(rows_minus)}
                 den = math.prod(
                     z_bif(nu * (s - sp), y[sp], y[s]) for s in (1, -1) for sp in (1, -1)
@@ -231,12 +230,24 @@ class TestTables:
         with pytest.raises(DegenerateParameterError, match="vanishing series factor"):
             _linear_product(offsets, starts, 2.0)
 
+    @pytest.mark.parametrize("w_max", range(11))
+    def test_diagram_pairs_match_the_walk(self, w_max):
+        # the block-product index against a dict walk over the enumerated pairs
+        diagrams, pair_index, splits = _diagram_pairs(w_max)
+        assert diagrams == [rows for w in range(w_max + 1) for rows in partitions_of(w)]
+        index = {rows: i for i, rows in enumerate(diagrams)}
+        by_weight = [[(index[yp], index[ym]) for yp, ym in pairs(w)] for w in range(w_max + 1)]
+        walk = np.array([pair for block in by_weight for pair in block]).T
+        walk_splits = np.cumsum([len(block) for block in by_weight])[:-1]
+        assert pair_index.dtype == walk.dtype and pair_index.tobytes() == walk.tobytes()
+        assert splits.dtype == walk_splits.dtype and splits.tobytes() == walk_splits.tobytes()
+
     def test_pairs_enumerate_each_weight_once(self):
         for w in range(7):
-            pairs = list(_pairs(w))
-            assert len(set(pairs)) == len(pairs)
-            assert all(sum(yp) + sum(ym) == w for yp, ym in pairs)
-            assert len(pairs) == sum(
+            found = list(pairs(w))
+            assert len(set(found)) == len(found)
+            assert all(sum(yp) + sum(ym) == w for yp, ym in found)
+            assert len(found) == sum(
                 len(partitions_of(k)) * len(partitions_of(w - k)) for k in range(w + 1)
             )
 
@@ -263,13 +274,13 @@ class TestMayaSeries:
 
     @pytest.mark.parametrize("nu", [0.313, 0.2 + 0.15j, 0.11 - 0.09j])
     def test_weights_match_factor_lists(self, nu):
-        # every pair weight, in _pairs order, against the per-pair factor lists
+        # every pair weight, in pair order, against the per-pair factor lists
         maya = _MayaWeights(nu, 7, 3)
         for w in range(8):
             for q in range(-3, 4):
                 weights = maya.weights(q)[w]
-                assert len(weights) == sum(1 for _ in _pairs(w))
-                for (rows_plus, rows_minus), weight in zip(_pairs(w), weights):
+                assert len(weights) == sum(1 for _ in pairs(w))
+                for (rows_plus, rows_minus), weight in zip(pairs(w), weights):
                     ref = maya_weight_reference(nu, rows_plus, rows_minus, q)
                     assert weight == pytest.approx(ref, rel=1e-13, abs=0), (w, q, rows_plus)
 

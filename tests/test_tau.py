@@ -10,15 +10,17 @@ import besseltau
 from besseltau import nekrasov, partitions
 from besseltau import tau as tau_module
 from besseltau.errors import BesselTauError
-from besseltau.kernel import mode_matrix_a, mode_matrix_d
+from besseltau.kernel import mode_exponents, mode_matrix_a, mode_matrix_d
 from besseltau.monodromy import MonodromyParams
 from besseltau.nekrasov import SeriesTruncation, complex_fsum, tau_series_terms
 from besseltau.tau import (
     METHODS,
     TauRoute,
     TauValue,
+    _theta_cumulants,
     cross_validate,
 )
+from oracles import fredholm_moments
 
 P_GENERIC = MonodromyParams.from_nu(0.37, 0.11)
 P_ELEM_PLUS = MonodromyParams.from_nu(0.25, 0.25)  # tau = t^{1/16} e^{+4 sqrt t}
@@ -244,6 +246,51 @@ class TestZeta:
         ) / (12 * h)
         assert fd == pytest.approx(zp, rel=1e-10)
         assert zppp is not None
+
+
+class TestFredholmDerivatives:
+    @pytest.mark.parametrize(
+        "eta, sign, tol_tau, tol_theta",
+        [(0.0, -1, 5e-7, (3e-7, 4e-6, 1.2e-4, 2.5e-4)), (0.25, 1, 1e-10, (1e-8,) * 4)],
+        ids=["decaying", "growing"],
+    )
+    def test_closed_form_at_quarter(self, eta, sign, tol_tau, tol_theta):
+        # nu = 1/4: tau = exp(4 r) with r = -sqrt t at eta = 0 and +sqrt t at
+        # eta = 1/4, so theta^k log tau_full = 1/16 + 2 r, r, r/2, r/4.  The
+        # bounds hold at every t; the worst errors are at t = 20, where
+        # I - A D has condition number about 2e9 at eta = 0
+        route = TauRoute(MonodromyParams.from_nu(0.25, eta), "fredholm", n_modes=24)
+        for t in (0.5, 1, 3.16, 5, 10, 20):
+            r = sign * math.sqrt(t)
+            assert abs(route.tau(t, force=True).tau / math.exp(4 * r) - 1) <= tol_tau, t
+            exact = (1 / 16 + 2 * r, r, r / 2, r / 4)
+            for k, (got, want, tol) in enumerate(zip(route.theta_log_tau(t), exact, tol_theta)):
+                assert abs(got - want) <= tol * abs(want), (t, k + 1)
+
+    @pytest.mark.parametrize("n_modes", [12, 24])
+    @pytest.mark.parametrize("nu", [0.37 + 0.03j, 0.2 + 0.1j, 0.11 - 0.09j])
+    def test_rank_one_moments_match_the_direct_formula(self, nu, n_modes):
+        # the 4 x 4 moments against the n x n B_k = -M^{-1} A (E^k * D)
+        params = MonodromyParams.from_nu(nu, 0.11)
+        route = TauRoute(params, "fredholm", n_modes)
+        exps = mode_exponents(params.nu, n_modes)
+        for t in np.geomspace(0.01, 20, 12):
+            [(a, d)] = route._structure.corners(complex(t), n_modes)
+            direct = _theta_cumulants(*fredholm_moments(a, d, exps))
+            got = route.theta_log_tau(t)
+            for k, (g, d) in enumerate(zip((got[0] - params.nu**2,) + got[1:], direct)):
+                assert abs(g - d) <= 1e-9 * max(1, abs(d)), (t, k + 1)
+
+    @pytest.mark.parametrize("nu", [0.37 + 0.03j, 0.25, 0.11 - 0.09j])
+    def test_theta_d_is_the_route_rank_one(self, nu):
+        # E * D(1) = u1 v1^T with E = e + f^T: the route's factors of theta D
+        params = MonodromyParams.from_nu(nu, 0.11)
+        det = TauRoute(params, "fredholm", n_modes=12)._structure
+        exps = mode_exponents(params.nu, 12)
+        theta_d = exps * mode_matrix_d(params, 1.0, 12)
+        rank_one = np.outer(det.u1, det.v1)
+        assert np.max(np.abs(rank_one - theta_d)) <= 1e-14 * np.max(np.abs(theta_d))
+        np.testing.assert_allclose(det.e[:, None] + det.f[None, :], exps, rtol=1e-15, atol=0)
 
 
 class TestResiduals:
