@@ -21,7 +21,7 @@ from .errors import BesselTauError, ConfigError
 from .kernel import kernel_a, kernel_d, mode_matrix_a, mode_matrix_d, modes_by_quadrature
 from .monodromy import MonodromyParams
 from .nekrasov import SeriesTruncation, complex_fsum, tau_series_terms, z_dual_terms
-from .tau import METHODS, TauRoute, _sigma_form_defect, cross_validate
+from .tau import METHODS, TauRoute, _sigma_form_defect, _zeta, cross_validate, grids
 
 CSV_HEADER = (
     "t_re,t_im,tau_fred_re,tau_fred_im,tau_maya_re,tau_maya_im,"
@@ -223,19 +223,23 @@ def _command(name, summary):
 @_command("tau", "Evaluate tau (and zeta, ODE residual) over the t-grid.")
 def tau_cmd(cfg, params, ts, methods, trunc, n_modes):
     routes = {m: TauRoute(params, m, n_modes, trunc) for m in methods}
-    zroute = routes["maya" if "maya" in methods else methods[0]]
+    zeta_method = "maya" if "maya" in methods else methods[0]
+    # on an error, grids raises what a pass per t meets first: each route's
+    # tau, then zeta
+    out = dict(zip(routes, grids(routes.values(), ts, routes[zeta_method])))
+    thetas = out[zeta_method][1]
     col = {"fredholm": "tau_fred", "maya": "tau_maya", "nekrasov": "tau_nek"}
     records = []
-    for t in ts:
+    for i, t in enumerate(ts):
         rec = dict.fromkeys(CSV_HEADER.split(","))
         rec["t_re"], rec["t_im"] = t, 0.0
         est = 0.0
-        for m, route in routes.items():
-            tv = route.tau(t, force=True)
+        for m, (values, _) in out.items():
+            tv = values[i]
             rec[f"{col[m]}_re"], rec[f"{col[m]}_im"] = tv.tau.real, tv.tau.imag
             est = max(est, tv.est_error)
-        if t > 0:
-            z, zp, zpp, _ = zroute.zeta_derivatives(t)
+        if thetas[i] is not None:
+            z, zp, zpp, _ = _zeta(float(t), thetas[i])
             rec["zeta_re"], rec["zeta_im"] = z.real, z.imag
             rec["ode_residual"] = _sigma_form_defect(t, z, zp, zpp)
         rec["est_error"] = est
@@ -289,11 +293,14 @@ def convergence(cfg, params, ts, _methods, trunc, n_modes):
     if ts[0] == 0:
         raise ConfigError("convergence needs t_grid.start != 0; t**exponent is undefined at t = 0")
     t = complex(ts[0])
-    # the determinant from one route per N, the series as partial sums of one W table
     terms = [(w, c * t**e) for (_, w, e, c) in tau_series_terms(params, trunc)]
+    # the determinant at every even N <= N_modes from the leading blocks of one
+    # build, the series as partial sums of one W table
+    top = n_modes - n_modes % 2
+    fred = TauRoute(params, "fredholm", top) if top else None
     rows = [
-        ("fredholm_N", n, TauRoute(params, "fredholm", n).tau(t, force=True).tau)
-        for n in range(2, n_modes + 1, 2)
+        ("fredholm_N", n, fred.leading(n).tau(t, force=True).tau)
+        for n in range(2, top + 1, 2)
     ] + [
         ("maya_W", w, complex_fsum(v for k, v in terms if k <= w))
         for w in range(trunc.weight_cutoff + 1)

@@ -141,12 +141,15 @@ def _psi(nu, n: int, branch_sign=None):
     branch_sign = branch_sign or {1: 1, -1: 1}
     psi, psibar = np.empty(2 * n, dtype=complex), np.empty(2 * n, dtype=complex)
     j = np.arange(1, n)
+    steps = np.empty(n, dtype=complex)
     for k, s in enumerate((1, -1)):
         x = 2 * s * complex(nu)
         root = branch_sign[s] * cmath.exp(0.5 * (ln_gamma(1 + x) - ln_gamma(1 - x)))
         # m! (1 - x)_m = prod_{j <= m} j (j - x) and m! (x)_{m+1} = x prod_{j <= m} j (j + x)
-        psi[k::2] = root * cmath.exp(-1j * cmath.pi * s / 4) / np.cumprod(np.r_[1, j * (j - x)])
-        psibar[k::2] = cmath.exp(1j * cmath.pi * s / 4) / root / np.cumprod(np.r_[x, j * (j + x)])
+        steps[0], steps[1:] = 1, j * (j - x)
+        psi[k::2] = root * cmath.exp(-1j * cmath.pi * s / 4) / np.cumprod(steps)
+        steps[0], steps[1:] = x, j * (j + x)
+        psibar[k::2] = cmath.exp(1j * cmath.pi * s / 4) / root / np.cumprod(steps)
     return psi, psibar
 
 

@@ -238,9 +238,18 @@ def _maya_positions(diagrams, charge_cutoff: int) -> dict:
     return positions
 
 
-def _cauchy(diff, kinds) -> tuple:
-    """(prod of diff where kinds > 0, prod of diff where kinds < 0) over the last two axes."""
-    return tuple(np.prod(np.where(sign * kinds > 0, diff, 1), axis=(-2, -1)) for sign in (1, -1))
+def _cauchy(diff, kinds, axis=(-2, -1)) -> tuple:
+    """(prod of diff where kinds > 0, prod of diff where kinds < 0) over ``axis``."""
+    return tuple(np.prod(np.where(sign * kinds > 0, diff, 1), axis=axis) for sign in (1, -1))
+
+
+def _self_cauchy(x) -> tuple:
+    """``_cauchy`` of |x_i - x_j| / 2 with kinds sign(x_i) sign(x_j) over the
+    slots i < j of each row of positions x, gathered as one flat list per row
+    in row-major order."""
+    i, j = np.triu_indices(x.shape[1], 1)
+    kind = np.sign(x)
+    return _cauchy(np.abs(x[:, i] - x[:, j]) / 2, kind[:, i] * kind[:, j], -1)
 
 
 class _MayaWeights:
@@ -281,10 +290,7 @@ class _MayaWeights:
         self._self = {}
         for c, x in self._positions.items():
             kind = np.sign(x)
-            num, den = _cauchy(
-                np.abs(x[:, :, None] - x[:, None, :]) / 2,
-                np.triu(kind[:, :, None] * kind[:, None, :], 1),
-            )
+            num, den = _self_cauchy(x)
             hole, m = np.where(kind < 0, 1, 0), np.where(kind != 0, (np.abs(x) - 1) // 2, 0)
             for color, s in enumerate((1, -1)):
                 poch = np.prod(pochhammer[color, hole, m], axis=1)

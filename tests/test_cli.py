@@ -6,6 +6,7 @@ import io
 import json
 import sys
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -205,6 +206,14 @@ class TestValidation:
         assert result.exit_code == 3, result.output
         assert result.output.startswith("numerical error: tau overflows")
 
+    def test_convergence_overflow_exits_3(self, runner, tmp_path):
+        # the series terms stay finite at t = 1e20, the powers t**E of D(t) do not
+        cfg = _config(tmp_path, {"t_grid": {"start": 1e20, "count": 1}})
+        result = runner.invoke(main, ["convergence", "-c", cfg])
+        assert result.exit_code == 3, result.output
+        assert result.output.startswith("numerical error: tau overflows at t = (1e+20+0j)")
+        assert result.output.count("\n") == 1, result.output
+
     @pytest.mark.parametrize(
         "method, charge, weight",
         [("maya", 60, 1), ("nekrasov", 60, 1), ("maya", 300, 1), ("maya", 17000, 0)],
@@ -298,6 +307,18 @@ class TestBuildOnce:
         assert result.exit_code == 0, result.output
         assert counts == dict.fromkeys(BUILDERS, 1)
 
+    def test_fredholm_grid_is_one_pass(self, runner, tmp_path, monkeypatch):
+        # tau and zeta at every t share D(t) and I - A D: one stacked det at
+        # n and one at n + 2 modes, one stacked solve for the derivatives
+        cfg = _config(tmp_path, {"method": "fredholm", "t_grid": {"start": 0.01, "stop": 0.3, "count": 3}})
+        calls = []
+        for name in ("det", "solve"):
+            orig = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda *a, _n=name, _f=orig: calls.append(_n) or _f(*a))
+        result = runner.invoke(main, ["tau", "-c", cfg])
+        assert result.exit_code == 0, result.output
+        assert sorted(calls) == ["det", "det", "solve"]
+
     def test_check_builds_maya_route_once(self, runner, monkeypatch):
         counts = count_builds(monkeypatch)
         result = runner.invoke(main, ["check"])
@@ -341,6 +362,18 @@ class TestOtherSubcommands:
             if line.startswith("fredholm_N") and line.split(",")[4] != "nan"
         ]
         assert changes[-1] < 1e-10
+
+    def test_convergence_rows_are_separate_builds(self, runner, tmp_path):
+        # the leading blocks of one build equal a route built at each N, bit for bit
+        cfg = _config(tmp_path, {"N_modes": 11, "t_grid": {"start": 0.7, "count": 1}})
+        result = runner.invoke(main, ["convergence", "-c", cfg])
+        assert result.exit_code == 0, result.output
+        rows = [line.split(",") for line in result.output.splitlines() if line.startswith("fredholm_N")]
+        assert [int(row[1]) for row in rows] == [2, 4, 6, 8, 10]
+        params = MonodromyParams(-0.13, 0.11)
+        for row in rows:
+            expected = TauRoute(params, "fredholm", int(row[1])).tau(0.7, force=True).tau
+            assert complex(float(row[2]), float(row[3])) == expected, row[1]
 
     def test_convergence_last_row_is_tau(self, runner, tmp_path):
         cfg = _config(tmp_path, {"N_modes": 10, "weight_cutoff": 5})

@@ -18,6 +18,7 @@ from besseltau.nekrasov import (
     _linear_product,
     _maya_positions,
     _MayaWeights,
+    _self_cauchy,
     c_ratio,
     check_lemma_identities,
     quasi_periodicity_residual,
@@ -349,6 +350,20 @@ class TestMayaSeries:
                 walk = [*particles, *holes]
                 assert x == walk + [0] * (len(x) - len(walk)), (rows, c)
             assert table.shape[1] == max(len(sum(_profile(rows, c), ())) for rows in diagrams)
+
+    def test_self_factors_match_the_masked_square(self):
+        # the flat upper-triangle gather against the masked (diagram, P, P)
+        # square it replaced, bit for bit: the same factors in the same order
+        for w_max in range(11):
+            diagrams = _diagram_pairs(w_max)[0]
+            for q_max in range(4):
+                for x in _maya_positions(diagrams, q_max).values():
+                    kind = np.sign(x)
+                    diff = np.abs(x[:, :, None] - x[:, None, :]) / 2
+                    kinds = np.triu(kind[:, :, None] * kind[:, None, :], 1)
+                    masked = [np.prod(np.where(s * kinds > 0, diff, 1), axis=(-2, -1)) for s in (1, -1)]
+                    for got, want in zip(_self_cauchy(x), masked):
+                        assert got.tobytes() == want.tobytes(), (w_max, q_max)
 
     def test_positions_check_the_int16_range(self):
         # a cutoff whose position differences leave int16 is refused before

@@ -175,6 +175,57 @@ class TestTauRoute:
         # at t = 1e12 the maya powers stay finite, so the value is returned
         assert all(map(cmath.isfinite, TauRoute(P_GENERIC, "maya").theta_log_tau(1e12)))
 
+    @pytest.mark.parametrize("n_modes", [1, 6, 12])
+    def test_fredholm_grid_is_the_determinant_per_t(self, n_modes):
+        # tau and est_error of one stacked pass, bit for bit, against
+        # det(I - A D) of separate builds at n and n + 2 modes, one t at a time
+        ts = [0.0, -0.3, 0.05, 0.7 + 0.2j, 3.0, 20.0]
+        values, thetas = TauRoute(P_GENERIC, "fredholm", n_modes).grid(ts)
+        assert thetas is None
+        blocks = {n: mode_matrix_a(P_GENERIC, n) for n in (n_modes, n_modes + 2)}
+        for t, tv in zip(ts, values):
+            if t == 0:
+                assert (tv.t, tv.tau, tv.est_error) == (0, 1, 0)
+                continue
+            val, finer = (
+                complex(np.linalg.det(np.eye(2 * n) - a @ mode_matrix_d(P_GENERIC, t, n)))
+                for n, a in blocks.items()
+            )
+            assert (tv.t, tv.tau, tv.est_error) == (t, val, abs(val - finer)), t
+
+    def test_leading_route_is_a_build_at_n(self):
+        # tau, est_error and theta, bit for bit, off the leading blocks of one build
+        route = TauRoute(P_GENERIC, "fredholm", 12)
+        ts = [-0.3, 0.05, 0.7 + 0.2j, 5.0]
+        for n in (1, 2, 7, 12):
+            built, cut = TauRoute(P_GENERIC, "fredholm", n), route.leading(n)
+            assert cut.truncation == built.truncation == {"n_modes": n}
+            assert cut.grid(ts, derivatives=True) == built.grid(ts, derivatives=True), n
+        assert route.truncation == {"n_modes": 12}
+        for bad in (0, 13):
+            with pytest.raises(ValueError, match="leading needs"):
+                route.leading(bad)
+        with pytest.raises(ValueError, match="leading needs"):
+            TauRoute(P_GENERIC, "maya", trunc=TRUNC).leading(1)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_grid_is_the_one_point_calls(self, method):
+        # every value and log-derivative of one grid pass, bit for bit; theta
+        # only at real t > 0
+        ts = [0.0, -0.2, 0.01, 0.05 + 0.01j, 0.3, np.float64(0.45)]
+        route = TauRoute(P_GENERIC, method, trunc=TRUNC)
+        values, thetas = route.grid(ts, derivatives=True)
+        assert values == [route.tau(t, force=True) for t in ts]
+        assert thetas == [route.theta_log_tau(t) if t in (0.01, 0.3, 0.45) else None for t in ts]
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_grid_names_the_first_failing_t(self, method):
+        # as the calls at one t after another: the first t that fails, and its
+        # first failure, on a grid longer than one stacked pass
+        ts = [0.1] * 70 + [1e50, 1e60]
+        with pytest.raises(BesselTauError, match=r"tau overflows at t = \(1e\+50\+0j\)"):
+            TauRoute(P_GENERIC, method, trunc=TRUNC).grid(ts, derivatives=True)
+
     def test_values_do_not_share_provenance(self):
         route = TauRoute(P_GENERIC, "maya", trunc=TRUNC)
         tv = route.tau(0.05)
@@ -274,9 +325,9 @@ class TestFredholmDerivatives:
         params = MonodromyParams.from_nu(nu, 0.11)
         route = TauRoute(params, "fredholm", n_modes)
         exps = mode_exponents(params.nu, n_modes)
+        a = mode_matrix_a(params, n_modes)
         for t in np.geomspace(0.01, 20, 12):
-            [(a, d)] = route._structure.corners(complex(t), n_modes)
-            direct = _theta_cumulants(*fredholm_moments(a, d, exps))
+            direct = _theta_cumulants(*fredholm_moments(a, mode_matrix_d(params, t, n_modes), exps))
             got = route.theta_log_tau(t)
             for k, (g, d) in enumerate(zip((got[0] - params.nu**2,) + got[1:], direct)):
                 assert abs(g - d) <= 1e-9 * max(1, abs(d)), (t, k + 1)
